@@ -23,14 +23,15 @@
 //   determinism — the whole grid evaluated serially and with N worker
 //     threads must match cell-for-cell (meters, counters, gauges).
 //
-// Machine-readable output: BENCH_cache.json (or argv[1]). `--small`
-// shrinks the grids for the sanitizer CI leg. Exit code is the verdict.
+// Machine-readable output: BENCH_cache.json (`cloudsync_report cache_tier
+// [--small] [out.json]`). `--small` shrinks the grids for the sanitizer
+// builds and checks the uncapped cells' golden meter digests. Exit code is
+// the verdict.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "meter_diff.hpp"
+#include "report.hpp"
 
 using namespace cloudsync;
 using namespace cloudsync::bench;
@@ -65,20 +66,8 @@ experiment_config cacheless_cfg(bool defer_free) {
   return make_config(s, access_method::pc_client);
 }
 
-bool same_meter(const traffic_meter& a, const traffic_meter& b) {
-  for (int d = 0; d < 2; ++d) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-      const auto dir = static_cast<direction>(d);
-      const auto cat = static_cast<traffic_category>(c);
-      if (a.get(dir, cat) != b.get(dir, cat)) return false;
-    }
-  }
-  return true;
-}
-
 bool same(const cache_run_result& a, const cache_run_result& b) {
-  return same_meter(a.meter, b.meter) && a.total_traffic == b.total_traffic &&
+  return a.meter == b.meter && a.total_traffic == b.total_traffic &&
          a.rehydrate_traffic == b.rehydrate_traffic &&
          a.data_update_bytes == b.data_update_bytes &&
          a.commits == b.commits && a.cache.hits == b.cache.hits &&
@@ -93,44 +82,12 @@ bool same(const cache_run_result& a, const cache_run_result& b) {
 
 using job = std::function<cache_run_result()>;
 
-std::vector<cache_run_result> evaluate(const std::vector<job>& jobs,
-                                       unsigned threads) {
-  std::vector<cache_run_result> out(jobs.size());
-  parallel_runner pool(threads);
-  pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
-  return out;
-}
-
-void meter_diff(const char* label, const traffic_meter& a,
-                const traffic_meter& b) {
-  for (int d = 0; d < 2; ++d) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-      const auto dir = static_cast<direction>(d);
-      const auto cat = static_cast<traffic_category>(c);
-      if (a.get(dir, cat) != b.get(dir, cat)) {
-        std::fprintf(stderr, "  %s %s/%s: %llu vs %llu\n", label,
-                     d == 0 ? "up" : "down", to_string(cat),
-                     (unsigned long long)a.get(dir, cat),
-                     (unsigned long long)b.get(dir, cat));
-      }
-    }
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool small = false;
-  const char* out_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
-  if (out_path == nullptr) out_path = "BENCH_cache.json";
+namespace cloudsync::bench {
+
+void cache_tier_report(report& rep) {
+  const bool small = rep.small;
   print_section(small ? "Client cache tier (small grid)"
                       : "Client cache tier: hit ratio and TUE sweep");
 
@@ -191,17 +148,7 @@ int main(int argc, char** argv) {
          cache_workload::frequent_mods);
   }
 
-  const unsigned threads = parallel_runner::default_thread_count();
-  const std::vector<cache_run_result> serial = evaluate(jobs, 1);
-  const std::vector<cache_run_result> parallel = evaluate(jobs, threads);
-
-  bool deterministic = true;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    if (!same(serial[i], parallel[i])) {
-      deterministic = false;
-      std::fprintf(stderr, "determinism violation: job %zu differs\n", i);
-    }
-  }
+  const auto [serial, deterministic] = evaluate_1_vs_n(rep, jobs, same);
 
   // Gate: uncapped cache is invisible on the wire — per-category identity
   // with the cacheless engine, and its rehydrate counter is exactly zero.
@@ -216,12 +163,13 @@ int main(int argc, char** argv) {
   for (const auto& pr : kIdentityPairs) {
     const cache_run_result& base = serial[pr.baseline];
     const cache_run_result& cached = serial[pr.cached];
-    if (!same_meter(base.meter, cached.meter) ||
-        cached.rehydrate_traffic != 0) {
+    if (base.meter != cached.meter || cached.rehydrate_traffic != 0) {
       identity = false;
-      std::fprintf(stderr, "identity violation: %s\n", pr.name);
-      meter_diff(pr.name, base.meter, cached.meter);
+      std::fprintf(stderr, "identity violation: %s\n%s", pr.name,
+                   meter_diff(base.meter, cached.meter).c_str());
     }
+    rep.golden(std::string("cache_tier/") + pr.name,
+               golden_digest().add(cached.meter).value());
   }
 
   // Gates: ARC beats (or ties) LRU at every scan capacity; LRU hit ratio
@@ -300,66 +248,63 @@ int main(int argc, char** argv) {
                 t.str().c_str());
   }
 
-  std::printf(
-      "checks: deterministic(1 vs %u threads)=%s, uncapped identity=%s, "
-      "ARC>=LRU=%s, LRU monotone=%s (ARC monotone=%s, unGated), "
-      "write-back wins=%s\n",
-      threads, deterministic ? "yes" : "NO", identity ? "yes" : "NO",
-      arc_ge_lru ? "yes" : "NO", lru_monotone ? "yes" : "NO",
-      arc_monotone ? "yes" : "no", wb_wins ? "yes" : "NO");
+  rep.checks.check("uncapped identity", identity);
+  rep.checks.check("ARC>=LRU", arc_ge_lru);
+  rep.checks.check("LRU monotone", lru_monotone);
+  rep.checks.note("ARC monotone (ungated)", arc_monotone ? "yes" : "no");
+  rep.checks.check("write-back wins", wb_wins);
 
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"cache_tier\",\n"
-      << "  \"small\": " << (small ? "true" : "false") << ",\n"
-      << "  \"files\": " << files << ",\n"
-      << "  \"file_bytes\": " << kFileBytes << ",\n"
-      << "  \"block_bytes\": " << kBlockBytes << ",\n"
-      << "  \"deterministic\": " << (deterministic ? "true" : "false")
-      << ",\n"
-      << "  \"uncapped_identity\": " << (identity ? "true" : "false") << ",\n"
-      << "  \"arc_ge_lru\": " << (arc_ge_lru ? "true" : "false") << ",\n"
-      << "  \"lru_monotone\": " << (lru_monotone ? "true" : "false") << ",\n"
-      << "  \"arc_monotone\": " << (arc_monotone ? "true" : "false") << ",\n"
-      << "  \"write_back_wins\": " << (wb_wins ? "true" : "false") << ",\n"
-      << "  \"scan\": [";
+  json_writer& j = rep.json;
+  j.field("bench", "cache_tier")
+      .field("small", small)
+      .field("files", files)
+      .field("file_bytes", kFileBytes)
+      .field("block_bytes", kBlockBytes)
+      .field("deterministic", deterministic)
+      .field("uncapped_identity", identity)
+      .field("arc_ge_lru", arc_ge_lru)
+      .field("lru_monotone", lru_monotone)
+      .field("arc_monotone", arc_monotone)
+      .field("write_back_wins", wb_wins);
+  j.array("scan");
   for (std::size_t c = 0; c < capacities.size(); ++c) {
     for (std::size_t p = 0; p < 2; ++p) {
       const cache_run_result& r = serial[scan_base + 2 * c + p];
-      out << (c == 0 && p == 0 ? "\n" : ",\n") << "    {\"capacity\": "
-          << capacities[c] << ", \"policy\": \""
-          << (p == 0 ? "lru" : "arc") << "\", \"hit_ratio\": " << r.hit_ratio
-          << ", \"hits\": " << r.cache.hits
-          << ", \"misses\": " << r.cache.misses
-          << ", \"evictions\": " << r.cache.evictions
-          << ", \"rehydrate\": " << r.rehydrate_traffic
-          << ", \"tue\": " << r.tue << "}";
+      j.object()
+          .field("capacity", capacities[c])
+          .field("policy", p == 0 ? "lru" : "arc")
+          .field("hit_ratio", r.hit_ratio)
+          .field("hits", r.cache.hits)
+          .field("misses", r.cache.misses)
+          .field("evictions", r.cache.evictions)
+          .field("rehydrate", r.rehydrate_traffic)
+          .field("tue", r.tue)
+          .end();
     }
   }
-  out << "\n  ],\n  \"write_mode\": [";
-  {
-    const cache_run_result& wt = serial[wt_run];
-    out << "\n    {\"mode\": \"write_through\", \"window_sec\": 0"
-        << ", \"tue\": " << wt.tue << ", \"commits\": " << wt.commits
-        << ", \"total\": " << wt.total_traffic << ", \"coalesced\": 0}";
-    for (std::size_t w = 0; w < num_windows; ++w) {
-      const cache_run_result& wb = serial[wb_base + w];
-      out << ",\n    {\"mode\": \"write_back\", \"window_sec\": "
-          << kWindowsSec[w] << ", \"tue\": " << wb.tue
-          << ", \"commits\": " << wb.commits
-          << ", \"total\": " << wb.total_traffic
-          << ", \"coalesced\": " << wb.cache.dirty_coalesced << "}";
-    }
+  j.end();
+  j.array("write_mode");
+  const cache_run_result& wt = serial[wt_run];
+  j.object()
+      .field("mode", "write_through")
+      .field("window_sec", 0)
+      .field("tue", wt.tue)
+      .field("commits", wt.commits)
+      .field("total", wt.total_traffic)
+      .field("coalesced", 0)
+      .end();
+  for (std::size_t w = 0; w < num_windows; ++w) {
+    const cache_run_result& wb = serial[wb_base + w];
+    j.object()
+        .field("mode", "write_back")
+        .field("window_sec", kWindowsSec[w])
+        .field("tue", wb.tue)
+        .field("commits", wb.commits)
+        .field("total", wb.total_traffic)
+        .field("coalesced", wb.cache.dirty_coalesced)
+        .end();
   }
-  out << "\n  ]\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", out_path);
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path);
-
-  return deterministic && identity && arc_ge_lru && lru_monotone && wb_wins
-             ? 0
-             : 1;
+  j.end();
 }
+
+}  // namespace cloudsync::bench

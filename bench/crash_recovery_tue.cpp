@@ -22,12 +22,12 @@
 //   - averaged resume-on TUE is strictly below restart-from-scratch TUE at
 //     every nonzero crash rate.
 //
-// Machine-readable output: BENCH_crash.json (or argv[1]).
+// Machine-readable output: BENCH_crash.json (`cloudsync_report
+// crash_recovery_tue [out.json]`).
 #include <cstdio>
-#include <fstream>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "report.hpp"
 
 using namespace cloudsync;
 using namespace cloudsync::bench;
@@ -90,17 +90,11 @@ cell_avg average(const crash_run_result* runs, std::size_t n) {
 
 using job = std::function<crash_run_result()>;
 
-std::vector<crash_run_result> evaluate(const std::vector<job>& jobs,
-                                       unsigned threads) {
-  std::vector<crash_run_result> out(jobs.size());
-  parallel_runner pool(threads);
-  pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
-  return out;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace cloudsync::bench {
+
+void crash_recovery_report(report& rep) {
   print_section("Crash sweep: TUE with resumable transfers vs restart");
 
   const std::vector<service_profile> services = {dropbox(), box(), onedrive()};
@@ -121,14 +115,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const unsigned threads = parallel_runner::default_thread_count();
-  const std::vector<crash_run_result> serial = evaluate(jobs, 1);
-  const std::vector<crash_run_result> parallel = evaluate(jobs, threads);
-
-  bool deterministic = true;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    deterministic = deterministic && same(serial[i], parallel[i]);
-  }
+  const auto [serial, deterministic] = evaluate_1_vs_n(rep, jobs, same);
 
   bool invariants_ok = true;
   for (const crash_run_result& r : serial) {
@@ -201,57 +188,43 @@ int main(int argc, char** argv) {
                 services[svc].name.c_str(), kNumSeeds, table.str().c_str());
   }
 
-  std::printf(
-      "checks: deterministic(1 vs %u threads)=%s, invariants=%s, "
-      "zero-rate resume==restart=%s, nonzero cells crashed+resumed=%s, "
-      "resume TUE < restart TUE=%s\n",
-      threads, deterministic ? "yes" : "NO", invariants_ok ? "yes" : "NO",
-      zero_rate_identical ? "yes" : "NO", cells_crashed ? "yes" : "NO",
-      resume_wins ? "yes" : "NO");
+  rep.checks.check("invariants", invariants_ok);
+  rep.checks.check("zero-rate resume==restart", zero_rate_identical);
+  rep.checks.check("nonzero cells crashed+resumed", cells_crashed);
+  rep.checks.check("resume TUE < restart TUE", resume_wins);
 
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_crash.json";
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"crash_recovery\",\n"
-      << "  \"files\": " << kFiles << ",\n"
-      << "  \"file_bytes\": " << kFileBytes << ",\n"
-      << "  \"seeds\": " << kNumSeeds << ",\n"
-      << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n"
-      << "  \"invariants_ok\": " << (invariants_ok ? "true" : "false") << ",\n"
-      << "  \"zero_rate_identical\": "
-      << (zero_rate_identical ? "true" : "false") << ",\n"
-      << "  \"cells_crashed\": " << (cells_crashed ? "true" : "false") << ",\n"
-      << "  \"resume_wins\": " << (resume_wins ? "true" : "false") << ",\n"
-      << "  \"services\": {";
+  json_writer& j = rep.json;
+  j.field("bench", "crash_recovery")
+      .field("files", kFiles)
+      .field("file_bytes", kFileBytes)
+      .field("seeds", kNumSeeds)
+      .field("deterministic", deterministic)
+      .field("invariants_ok", invariants_ok)
+      .field("zero_rate_identical", zero_rate_identical)
+      .field("cells_crashed", cells_crashed)
+      .field("resume_wins", resume_wins);
+  j.object("services");
   for (std::size_t svc = 0; svc < services.size(); ++svc) {
-    out << (svc == 0 ? "\n" : ",\n") << "    \"" << services[svc].name
-        << "\": [";
+    j.array(services[svc].name);
     for (std::size_t rate = 0; rate < kNumRates; ++rate) {
       const cell_avg& on = table_cells[svc][rate][0];
       const cell_avg& off = table_cells[svc][rate][1];
-      out << (rate == 0 ? "\n" : ",\n") << "      {\"crash_rate\": "
-          << kCrashRates[rate] << ", \"tue_resume\": " << on.tue
-          << ", \"tue_restart\": " << off.tue
-          << ", \"crashes_resume\": " << on.crashes
-          << ", \"crashes_restart\": " << off.crashes
-          << ", \"resumes\": " << on.resumes
-          << ", \"recovery_restarts\": " << off.recovery_restarts
-          << ", \"resume_traffic\": " << on.resume_traffic
-          << ", \"completion_resume_sec\": " << on.completion_sec
-          << ", \"completion_restart_sec\": " << off.completion_sec << "}";
+      j.object()
+          .field("crash_rate", kCrashRates[rate])
+          .field("tue_resume", on.tue)
+          .field("tue_restart", off.tue)
+          .field("crashes_resume", on.crashes)
+          .field("crashes_restart", off.crashes)
+          .field("resumes", on.resumes)
+          .field("recovery_restarts", off.recovery_restarts)
+          .field("resume_traffic", on.resume_traffic)
+          .field("completion_resume_sec", on.completion_sec)
+          .field("completion_restart_sec", off.completion_sec)
+          .end();
     }
-    out << "\n    ]";
+    j.end();
   }
-  out << "\n  }\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", out_path);
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path);
-
-  return deterministic && invariants_ok && zero_rate_identical &&
-                 cells_crashed && resume_wins
-             ? 0
-             : 1;
+  j.end();
 }
+
+}  // namespace cloudsync::bench

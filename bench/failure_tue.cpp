@@ -13,12 +13,12 @@
 //   - averaged TUE is monotonically non-decreasing in fault intensity
 //     (faults can only waste traffic, never save it).
 //
-// Machine-readable output: BENCH_failure.json (or argv[1]).
+// Machine-readable output: BENCH_failure.json (`cloudsync_report
+// failure_tue [out.json]`).
 #include <cstdio>
-#include <fstream>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "report.hpp"
 
 using namespace cloudsync;
 using namespace cloudsync::bench;
@@ -78,17 +78,11 @@ cell_avg average(const failure_run_result* runs, std::size_t n) {
 
 using job = std::function<failure_run_result()>;
 
-std::vector<failure_run_result> evaluate(const std::vector<job>& jobs,
-                                         unsigned threads) {
-  std::vector<failure_run_result> out(jobs.size());
-  parallel_runner pool(threads);
-  pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
-  return out;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace cloudsync::bench {
+
+void failure_report(report& rep) {
   print_section("Failure sweep: TUE and completion time vs fault intensity");
 
   const std::vector<service_profile> services = {dropbox(), box(), onedrive()};
@@ -116,14 +110,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const unsigned threads = parallel_runner::default_thread_count();
-  const std::vector<failure_run_result> serial = evaluate(jobs, 1);
-  const std::vector<failure_run_result> parallel = evaluate(jobs, threads);
-
-  bool deterministic = true;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    deterministic = deterministic && same(serial[i], parallel[i]);
-  }
+  const auto [serial, deterministic] = evaluate_1_vs_n(rep, jobs, same);
 
   auto cell_at = [&](std::size_t svc, std::size_t inten, std::size_t seed) {
     return serial[(svc * kNumIntensities + inten) * kNumSeeds + seed];
@@ -173,46 +160,36 @@ int main(int argc, char** argv) {
                 services[svc].name.c_str(), kNumSeeds, table.str().c_str());
   }
 
-  std::printf("checks: deterministic(1 vs %u threads)=%s, "
-              "zero-intensity==no-plan=%s, TUE monotone=%s\n",
-              threads, deterministic ? "yes" : "NO",
-              zero_matches_baseline ? "yes" : "NO",
-              tue_monotone ? "yes" : "NO");
+  rep.checks.check("zero-intensity==no-plan", zero_matches_baseline);
+  rep.checks.check("TUE monotone", tue_monotone);
 
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_failure.json";
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"failure\",\n"
-      << "  \"files\": " << kFiles << ",\n"
-      << "  \"file_bytes\": " << kFileBytes << ",\n"
-      << "  \"seeds\": " << kNumSeeds << ",\n"
-      << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n"
-      << "  \"zero_matches_baseline\": "
-      << (zero_matches_baseline ? "true" : "false") << ",\n"
-      << "  \"tue_monotone\": " << (tue_monotone ? "true" : "false") << ",\n"
-      << "  \"services\": {";
+  json_writer& j = rep.json;
+  j.field("bench", "failure")
+      .field("files", kFiles)
+      .field("file_bytes", kFileBytes)
+      .field("seeds", kNumSeeds)
+      .field("deterministic", deterministic)
+      .field("zero_matches_baseline", zero_matches_baseline)
+      .field("tue_monotone", tue_monotone);
+  j.object("services");
   for (std::size_t svc = 0; svc < services.size(); ++svc) {
-    out << (svc == 0 ? "\n" : ",\n") << "    \"" << services[svc].name
-        << "\": [";
+    j.array(services[svc].name);
     for (std::size_t inten = 0; inten < kNumIntensities; ++inten) {
       const cell_avg& c = table_cells[svc][inten];
-      out << (inten == 0 ? "\n" : ",\n") << "      {\"intensity\": "
-          << kIntensities[inten] << ", \"tue\": " << c.tue
-          << ", \"completion_sec\": " << c.completion_sec
-          << ", \"retry_traffic\": " << c.retry_traffic
-          << ", \"retries\": " << c.retries << ", \"requeues\": " << c.requeues
-          << ", \"fallbacks\": " << c.fallbacks
-          << ", \"faults_injected\": " << c.faults_injected << "}";
+      j.object()
+          .field("intensity", kIntensities[inten])
+          .field("tue", c.tue)
+          .field("completion_sec", c.completion_sec)
+          .field("retry_traffic", c.retry_traffic)
+          .field("retries", c.retries)
+          .field("requeues", c.requeues)
+          .field("fallbacks", c.fallbacks)
+          .field("faults_injected", c.faults_injected)
+          .end();
     }
-    out << "\n    ]";
+    j.end();
   }
-  out << "\n  }\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", out_path);
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path);
-
-  return deterministic && zero_matches_baseline && tue_monotone ? 0 : 1;
+  j.end();
 }
+
+}  // namespace cloudsync::bench

@@ -16,20 +16,18 @@
 // memo entries, or a high-water mark; the child reports the store's peak
 // live bytes (primary metric) and ru_maxrss (corroboration).
 //
-// Writes BENCH_fleet.json (or argv[1]). `--small` runs a reduced identity
-// grid only — the ASan CI leg. Exit status is the self-check verdict.
+// Writes BENCH_fleet.json (`cloudsync_report fleet_scale [--small]
+// [out.json]`). `--small` runs a reduced identity grid only — the sanitizer
+// leg — and checks the CoW leg's golden report hash. Exit status is the
+// self-check verdict.
 #include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 
-#include "bench_util.hpp"
 #include "core/fleet.hpp"
+#include "report.hpp"
 #include "store/content_store.hpp"
 #include "util/content_cache.hpp"
 
@@ -65,11 +63,7 @@ std::string serialize_reports(const std::vector<fleet_service_report>& reports) 
 /// Run one replay leg in a forked child: mode isolation is total (no shared
 /// intern table, wire-size cache, identity memo, or rss high-water mark).
 run_result run_leg(const fleet_config& cfg, content_mode mode) {
-  int fd[2];
-  if (pipe(fd) != 0) return {};
-  const pid_t pid = fork();
-  if (pid == 0) {
-    close(fd[0]);
+  return run_in_child([&] {
     content_store::global().set_mode(mode);
     content_store::global().reset_peak();
     const auto t0 = std::chrono::steady_clock::now();
@@ -91,35 +85,8 @@ run_result run_leg(const fleet_config& cfg, content_mode mode) {
       r.sync_traffic += rep.sync_traffic;
     }
     r.ok = true;
-    std::size_t off = 0;
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&r);
-    while (off < sizeof r) {
-      const ssize_t n = write(fd[1], p + off, sizeof(r) - off);
-      if (n <= 0) _exit(2);
-      off += static_cast<std::size_t>(n);
-    }
-    _exit(0);
-  }
-  close(fd[1]);
-  run_result r;
-  std::size_t off = 0;
-  auto* p = reinterpret_cast<std::uint8_t*>(&r);
-  while (off < sizeof r) {
-    const ssize_t n = read(fd[0], p + off, sizeof(r) - off);
-    if (n <= 0) break;
-    off += static_cast<std::size_t>(n);
-  }
-  close(fd[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (off != sizeof r || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    return {};
-  }
-  return r;
-}
-
-const char* mode_name(content_mode m) {
-  return m == content_mode::cow ? "cow" : "flat";
+    return r;
+  });
 }
 
 void print_leg(const char* label, const run_result& r) {
@@ -130,28 +97,23 @@ void print_leg(const char* label, const run_result& r) {
               human(static_cast<double>(r.sync_traffic)).c_str());
 }
 
-void json_leg(std::ostream& os, const char* key, const run_result& r,
-              bool last = false) {
-  os << "    \"" << key << "\": {\"wall_ms\": " << r.wall_ms
-     << ", \"peak_store_bytes\": " << r.peak_store_bytes
-     << ", \"maxrss_kb\": " << r.maxrss_kb << ", \"files\": " << r.files
-     << ", \"update_bytes\": " << r.update_bytes
-     << ", \"sync_traffic\": " << r.sync_traffic << "}" << (last ? "\n" : ",\n");
+void json_leg(json_writer& j, const char* key, const run_result& r) {
+  j.object(key)
+      .field("wall_ms", r.wall_ms)
+      .field("peak_store_bytes", r.peak_store_bytes)
+      .field("maxrss_kb", r.maxrss_kb)
+      .field("files", r.files)
+      .field("update_bytes", r.update_bytes)
+      .field("sync_traffic", r.sync_traffic)
+      .end();
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool small = false;
-  const char* out_path = "BENCH_fleet.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+namespace cloudsync::bench {
 
+void fleet_scale_report(report& rep) {
+  const bool small = rep.small;
   print_section(small ? "Fleet scale report (small identity grid)"
                       : "Fleet scale report: rope vs flat at matched scale");
 
@@ -175,13 +137,12 @@ int main(int argc, char** argv) {
   print_leg("cow x4thr", id_cow_mt);
 
   const bool legs_ok = id_flat.ok && id_cow.ok && id_cow_mt.ok;
-  const bool identical_mode =
-      legs_ok && id_cow.report_hash == id_flat.report_hash;
-  const bool identical_threads =
-      legs_ok && id_cow.report_hash == id_cow_mt.report_hash;
-  std::printf("  reports byte-identical cow vs flat: %s; across 1/4 replay "
-              "threads: %s\n",
-              identical_mode ? "yes" : "NO", identical_threads ? "yes" : "NO");
+  const bool identical_mode = rep.checks.check(
+      "reports cow==flat", legs_ok && id_cow.report_hash == id_flat.report_hash);
+  const bool identical_threads = rep.checks.check(
+      "reports 1==4 replay threads",
+      legs_ok && id_cow.report_hash == id_cow_mt.report_hash);
+  rep.golden("fleet_scale/cow", id_cow.report_hash);
 
   // Scale grid at the new defaults: whole trace, 64 MiB clamp, and a
   // dedup-heavy workload — the duplicate byte share is raised from the
@@ -192,7 +153,7 @@ int main(int argc, char** argv) {
   // per-layer copying actually hurts.
   run_result sc_flat, sc_cow;
   double reduction = 0;
-  bool reduction_ok = true;  // vacuously true for --small
+  bool reduction_ok = true;  // the scale grid does not run with --small
   fleet_config sc_cfg;  // whole trace; clamp pinned (flat leg copies bytes)
   sc_cfg.trace.max_file_bytes = 64 * MiB;
   sc_cfg.trace.scale = 0.03;
@@ -215,8 +176,10 @@ int main(int argc, char** argv) {
                     ? 0.0
                     : static_cast<double>(sc_flat.peak_store_bytes) /
                           static_cast<double>(sc_cow.peak_store_bytes);
-    reduction_ok = sc_flat.ok && sc_cow.ok && reduction >= 5.0 &&
-                   sc_cow.report_hash == sc_flat.report_hash;
+    reduction_ok = rep.checks.check(
+        "scale grid >=5x peak-memory cut + reports identical",
+        sc_flat.ok && sc_cow.ok && reduction >= 5.0 &&
+            sc_cow.report_hash == sc_flat.report_hash);
     std::printf("  peak-memory reduction: %.1fx (target >= 5x): %s; reports "
                 "identical: %s\n",
                 reduction, reduction >= 5.0 ? "yes" : "NO",
@@ -226,42 +189,33 @@ int main(int argc, char** argv) {
   const bool passed = legs_ok && identical_mode && identical_threads &&
                       reduction_ok;
 
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"fleet_scale\",\n"
-      << "  \"small\": " << (small ? "true" : "false") << ",\n"
-      << "  \"identity_grid\": {\n"
-      << "    \"scale\": " << id_cfg.trace.scale
-      << ", \"max_files_per_service\": " << id_cfg.max_files_per_service
-      << ", \"max_file_bytes\": " << id_cfg.trace.max_file_bytes << ",\n";
-  json_leg(out, "flat", id_flat);
-  json_leg(out, "cow", id_cow);
-  json_leg(out, "cow_threads4", id_cow_mt);
-  out << "    \"reports_identical_cow_vs_flat\": "
-      << (identical_mode ? "true" : "false") << ",\n"
-      << "    \"reports_identical_threads_1_vs_4\": "
-      << (identical_threads ? "true" : "false") << "\n  },\n";
+  json_writer& j = rep.json;
+  j.field("bench", "fleet_scale").field("small", small);
+  j.object("identity_grid")
+      .field("scale", id_cfg.trace.scale)
+      .field("max_files_per_service", id_cfg.max_files_per_service)
+      .field("max_file_bytes", id_cfg.trace.max_file_bytes);
+  json_leg(j, "flat", id_flat);
+  json_leg(j, "cow", id_cow);
+  json_leg(j, "cow_threads4", id_cow_mt);
+  j.field("reports_identical_cow_vs_flat", identical_mode)
+      .field("reports_identical_threads_1_vs_4", identical_threads)
+      .end();
   if (!small) {
-    out << "  \"scale_grid\": {\n"
-        << "    \"scale\": " << sc_cfg.trace.scale
-        << ", \"max_files_per_service\": \"whole-trace\""
-        << ", \"max_file_bytes\": " << sc_cfg.trace.max_file_bytes
-        << ",\n    \"p_full_duplicate\": " << sc_cfg.trace.p_full_duplicate
-        << ", \"modify_geometric_p\": " << sc_cfg.trace.modify_geometric_p
-        << ",\n";
-    json_leg(out, "flat", sc_flat);
-    json_leg(out, "cow", sc_cow);
-    out << "    \"peak_memory_reduction\": " << reduction
-        << ", \"target_reduction\": 5.0, \"meets_target\": "
-        << (reduction >= 5.0 ? "true" : "false") << "\n  },\n";
+    j.object("scale_grid")
+        .field("scale", sc_cfg.trace.scale)
+        .field("max_files_per_service", "whole-trace")
+        .field("max_file_bytes", sc_cfg.trace.max_file_bytes)
+        .field("p_full_duplicate", sc_cfg.trace.p_full_duplicate)
+        .field("modify_geometric_p", sc_cfg.trace.modify_geometric_p);
+    json_leg(j, "flat", sc_flat);
+    json_leg(j, "cow", sc_cow);
+    j.field("peak_memory_reduction", reduction)
+        .field("target_reduction", 5.0)
+        .field("meets_target", reduction >= 5.0)
+        .end();
   }
-  out << "  \"self_check_passed\": " << (passed ? "true" : "false") << "\n}\n";
-  out.close();
-  std::printf("wrote %s\n", out_path);
-
-  if (!passed) {
-    std::printf("SELF-CHECK FAILED\n");
-    return 1;
-  }
-  return 0;
+  j.field("self_check_passed", passed);
 }
+
+}  // namespace cloudsync::bench

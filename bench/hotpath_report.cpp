@@ -7,12 +7,11 @@
 // — asserts the outputs are byte-identical (caching and parallelism must
 // never change a result), and records the wall-clock trajectory in
 // machine-readable form (BENCH_hotpath.json, or argv[1]) so the speedup is
-// tracked from this PR onward. See docs/PERFORMANCE.md for how to read it.
+// tracked over time. See docs/PERFORMANCE.md for how to read it.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
-#include "bench_util.hpp"
+#include "report.hpp"
 
 using namespace cloudsync;
 using namespace cloudsync::bench;
@@ -70,7 +69,7 @@ struct run_result {
   double wall_ms = 0;
 };
 
-run_result evaluate(bool cached, unsigned threads) {
+run_result timed_run(bool cached, unsigned threads) {
   const std::vector<job> jobs = build_jobs(cached);
   run_result res;
   res.values.resize(jobs.size());
@@ -86,19 +85,21 @@ run_result evaluate(bool cached, unsigned threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace cloudsync::bench {
+
+void hotpath_report(report& rep) {
   print_section("Hot-path report: serial+uncached vs parallel+cached");
 
   const unsigned threads = parallel_runner::default_thread_count();
 
-  const run_result baseline = evaluate(/*cached=*/false, /*threads=*/1);
+  const run_result baseline = timed_run(/*cached=*/false, /*threads=*/1);
   // Start the optimized run with every process-wide memo cold, so the hit
   // counters below describe exactly this run.
   content_cache::global().clear();
   global_fingerprint_cache().clear();
   clear_incremental_sync_memos();
   clear_generation_memo();
-  const run_result optimized = evaluate(/*cached=*/true, threads);
+  const run_result optimized = timed_run(/*cached=*/true, threads);
 
   struct named_stats {
     const char* name;
@@ -112,7 +113,6 @@ int main(int argc, char** argv) {
       {"generation", generation_memo_stats()},
   };
 
-  const bool identical = baseline.values == optimized.values;
   const double speedup =
       optimized.wall_ms > 0 ? baseline.wall_ms / optimized.wall_ms : 0.0;
 
@@ -124,56 +124,45 @@ int main(int argc, char** argv) {
              strfmt("%.1f", optimized.wall_ms),
              strfmt("%zu", optimized.values.size())});
   std::printf("%s\n", table.str().c_str());
-  std::printf("speedup: %.2fx, outputs identical: %s\n", speedup,
-              identical ? "yes" : "NO");
+  std::printf("speedup: %.2fx\n", speedup);
   for (const named_stats& c : caches) {
     std::printf("  memo %-12s %5.1f%% hit rate (%llu hits / %llu misses)\n",
                 c.name, 100.0 * c.s.hit_rate(), (unsigned long long)c.s.hits,
                 (unsigned long long)c.s.misses);
   }
 
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_hotpath.json";
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"hotpath\",\n"
-      << "  \"threads\": " << threads << ",\n"
-      << "  \"cells\": " << baseline.values.size() << ",\n"
-      << "  \"baseline\": {\"mode\": \"serial+uncached\", \"wall_ms\": "
-      << baseline.wall_ms << "},\n"
-      << "  \"optimized\": {\"mode\": \"parallel+cached\", \"wall_ms\": "
-      << optimized.wall_ms << "},\n"
-      << "  \"speedup\": " << speedup << ",\n"
-      << "  \"identical_outputs\": " << (identical ? "true" : "false") << ",\n"
-      << "  \"caches\": {";
-  bool first = true;
-  for (const named_stats& c : caches) {
-    out << (first ? "\n" : ",\n") << "    \"" << c.name
-        << "\": {\"hits\": " << c.s.hits << ", \"misses\": " << c.s.misses
-        << ", \"evictions\": " << c.s.evictions
-        << ", \"hit_rate\": " << c.s.hit_rate() << "}";
-    first = false;
-  }
-  out << "\n  }\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", out_path);
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path);
-
   // Caching/parallelism changing any output is a correctness failure.
-  if (!identical) return 1;
-
+  const bool identical = rep.checks.check(
+      "outputs identical", baseline.values == optimized.values);
   // The grid repeats the IDS modification cells precisely so these two memo
   // tiers get revisited; a zero hit count means a dead cache tier.
-  const content_cache_stats sig = signature_memo_stats();
-  const content_cache_stats del = delta_memo_stats();
-  if (sig.hits == 0 || del.hits == 0) {
-    std::fprintf(stderr,
-                 "error: dead memo tier (signature hits=%llu, delta "
-                 "hits=%llu); the repeated IDS cells should produce hits\n",
-                 (unsigned long long)sig.hits, (unsigned long long)del.hits);
-    return 1;
+  rep.checks.check("signature+delta memo hits",
+                   signature_memo_stats().hits > 0 &&
+                       delta_memo_stats().hits > 0);
+
+  json_writer& j = rep.json;
+  j.field("bench", "hotpath")
+      .field("threads", threads)
+      .field("cells", baseline.values.size());
+  j.object("baseline")
+      .field("mode", "serial+uncached")
+      .field("wall_ms", baseline.wall_ms)
+      .end();
+  j.object("optimized")
+      .field("mode", "parallel+cached")
+      .field("wall_ms", optimized.wall_ms)
+      .end();
+  j.field("speedup", speedup).field("identical_outputs", identical);
+  j.object("caches");
+  for (const named_stats& c : caches) {
+    j.object(c.name)
+        .field("hits", c.s.hits)
+        .field("misses", c.s.misses)
+        .field("evictions", c.s.evictions)
+        .field("hit_rate", c.s.hit_rate())
+        .end();
   }
-  return 0;
+  j.end();
 }
+
+}  // namespace cloudsync::bench

@@ -6,23 +6,22 @@
 // at the old (250) and new (2500) per-service file caps and asserts the
 // replay is byte-identical across thread counts.
 //
-// Writes BENCH_kernels.json (or argv[1]). Exit status is the identity
-// verdict: any kernel or replay divergence fails the run (CI gates on it);
-// throughput numbers are recorded but never gate, since they depend on the
-// host.
+// Writes BENCH_kernels.json (`cloudsync_report kernel [out.json]`). Exit
+// status is the identity verdict: any kernel or replay divergence fails the
+// run (CI gates on it); throughput numbers are recorded but never gate,
+// since they depend on the host.
 #include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <unordered_map>
 
-#include "bench_util.hpp"
 #include "core/fleet.hpp"
 #include "pipeline/byte_pipeline.hpp"
 #include "util/adler32.hpp"
 #include "util/crc32.hpp"
+#include "report.hpp"
 #include "util/string_key.hpp"
 
 using namespace cloudsync;
@@ -31,8 +30,9 @@ using namespace cloudsync::bench;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference kernels: the scalar implementations this PR replaced, kept here
-// verbatim-in-shape so the "before" column stays measurable on any host.
+// Reference kernels: the scalar implementations the optimized kernels
+// replaced, kept here verbatim-in-shape so the "before" column stays
+// measurable on any host.
 // ---------------------------------------------------------------------------
 namespace refk {
 
@@ -380,7 +380,9 @@ std::string fleet_report_fingerprint(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace cloudsync::bench {
+
+void kernel_report(report& rep) {
   print_section("Kernel report: scalar reference vs optimized byte kernels");
 
   const std::vector<byte_buffer> corpus = make_corpus();
@@ -648,8 +650,10 @@ int main(int argc, char** argv) {
   const bool fleet_identical = fleet_report_fingerprint(fleet_new) ==
                                fleet_report_fingerprint(fleet_mt);
 
-  bool all_identical = fused_identical && index_identical && fleet_identical;
-  for (const kernel_row& r : rows) all_identical &= r.identical;
+  bool kernels_identical = true;
+  for (const kernel_row& r : rows) kernels_identical &= r.identical;
+  const bool all_identical = kernels_identical && fused_identical &&
+                             index_identical && fleet_identical;
 
   text_table table;
   table.header({"kernel", "ref MB/s", "opt MB/s", "speedup", "identical"});
@@ -674,50 +678,56 @@ int main(int argc, char** argv) {
               files_old, fleet_old_ms, files_new, fleet_new_ms,
               fleet_identical ? "yes" : "NO");
 
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"kernels\",\n"
-      << "  \"corpus_bytes\": " << corpus_bytes << ",\n"
-      << "  \"kernels\": {";
-  bool first = true;
-  for (const kernel_row& r : rows) {
-    out << (first ? "\n" : ",\n") << "    \"" << r.name
-        << "\": {\"ref_mb_s\": " << r.ref_mb_s
-        << ", \"opt_mb_s\": " << r.opt_mb_s << ", \"speedup\": " << r.speedup()
-        << ", \"identical\": "
-        << (r.identity_checked ? (r.identical ? "true" : "false") : "null")
-        << "}";
-    first = false;
-  }
-  out << "\n  },\n"
-      << "  \"aggregate\": {\"ref_mb_s\": " << agg_ref
-      << ", \"opt_mb_s\": " << agg_opt
-      << ", \"speedup\": " << agg_opt / agg_ref << "},\n"
-      << "  \"fused_pipeline\": {\"separate_mb_s\": " << separate_mb_s
-      << ", \"fused_mb_s\": " << fused_mb_s
-      << ", \"speedup\": " << fused_mb_s / separate_mb_s
-      << ", \"identical\": " << (fused_identical ? "true" : "false") << "},\n"
-      << "  \"dedup_index\": {\"unordered_map_mops\": " << baseline_mops
-      << ", \"flat_shard_mops\": " << shard_mops
-      << ", \"speedup\": " << shard_mops / baseline_mops
-      << ", \"identical\": " << (index_identical ? "true" : "false") << "},\n"
-      << "  \"fleet_replay\": {\"cap_old\": 250, \"files_old\": " << files_old
-      << ", \"wall_ms_old\": " << fleet_old_ms
-      << ", \"cap_new\": 2500, \"files_new\": " << files_new
-      << ", \"wall_ms_new\": " << fleet_new_ms
-      << ", \"identical_across_threads\": "
-      << (fleet_identical ? "true" : "false") << "},\n"
-      << "  \"identical_outputs\": " << (all_identical ? "true" : "false")
-      << "\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", out_path);
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path);
-
   // Identity is the correctness gate; throughput is recorded, not gated
   // (it depends on the host).
-  return all_identical ? 0 : 1;
+  rep.checks.check("kernels identical", kernels_identical);
+  rep.checks.check("fused pipeline identical", fused_identical);
+  rep.checks.check("dedup index identical", index_identical);
+  rep.checks.check("fleet replay 1==4 threads", fleet_identical);
+
+  json_writer& j = rep.json;
+  j.field("bench", "kernels").field("corpus_bytes", corpus_bytes);
+  j.object("kernels");
+  for (const kernel_row& r : rows) {
+    j.object(r.name)
+        .field("ref_mb_s", r.ref_mb_s)
+        .field("opt_mb_s", r.opt_mb_s)
+        .field("speedup", r.speedup());
+    if (r.identity_checked) {
+      j.field("identical", r.identical);
+    } else {
+      j.field("identical", nullptr);
+    }
+    j.end();
+  }
+  j.end();
+  j.object("aggregate")
+      .field("ref_mb_s", agg_ref)
+      .field("opt_mb_s", agg_opt)
+      .field("speedup", agg_opt / agg_ref)
+      .end();
+  j.object("fused_pipeline")
+      .field("separate_mb_s", separate_mb_s)
+      .field("fused_mb_s", fused_mb_s)
+      .field("speedup", fused_mb_s / separate_mb_s)
+      .field("identical", fused_identical)
+      .end();
+  j.object("dedup_index")
+      .field("unordered_map_mops", baseline_mops)
+      .field("flat_shard_mops", shard_mops)
+      .field("speedup", shard_mops / baseline_mops)
+      .field("identical", index_identical)
+      .end();
+  j.object("fleet_replay")
+      .field("cap_old", 250)
+      .field("files_old", files_old)
+      .field("wall_ms_old", fleet_old_ms)
+      .field("cap_new", 2500)
+      .field("files_new", files_new)
+      .field("wall_ms_new", fleet_new_ms)
+      .field("identical_across_threads", fleet_identical)
+      .end();
+  j.field("identical_outputs", all_identical);
 }
+
+}  // namespace cloudsync::bench

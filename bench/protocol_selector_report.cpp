@@ -27,14 +27,15 @@
 //   - after calibration the selector's median |predicted - actual| /
 //     actual over all adaptive observations is below kMedianErrorBudget.
 //
-// Machine-readable output: BENCH_protocol.json (or argv[1]). `--small`
-// shrinks the grid to one network environment (sanitizer CI leg).
+// Machine-readable output: BENCH_protocol.json (`cloudsync_report
+// protocol_selector [--small] [out.json]`). `--small` shrinks the grid to one
+// network environment for the sanitizer builds and checks the forced runs'
+// golden meter digests.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "meter_diff.hpp"
+#include "report.hpp"
 
 using namespace cloudsync;
 using namespace cloudsync::bench;
@@ -128,20 +129,8 @@ experiment_config cfg_for(const run_config& rc, const link_config& link) {
   return cfg;
 }
 
-bool same_meter(const traffic_meter& a, const traffic_meter& b) {
-  for (int d = 0; d < 2; ++d) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-      const auto dir = static_cast<direction>(d);
-      const auto cat = static_cast<traffic_category>(c);
-      if (a.get(dir, cat) != b.get(dir, cat)) return false;
-    }
-  }
-  return true;
-}
-
 bool same(const protocol_run_result& a, const protocol_run_result& b) {
-  return same_meter(a.meter, b.meter) && a.total_traffic == b.total_traffic &&
+  return a.meter == b.meter && a.total_traffic == b.total_traffic &&
          a.data_update_bytes == b.data_update_bytes &&
          a.commits == b.commits && a.selector.picks == b.selector.picks &&
          a.selector.observations == b.selector.observations &&
@@ -149,14 +138,6 @@ bool same(const protocol_run_result& a, const protocol_run_result& b) {
 }
 
 using job = std::function<protocol_run_result()>;
-
-std::vector<protocol_run_result> evaluate(const std::vector<job>& jobs,
-                                          unsigned threads) {
-  std::vector<protocol_run_result> out(jobs.size());
-  parallel_runner pool(threads);
-  pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
-  return out;
-}
 
 double median_of(std::vector<double> v) {
   if (v.empty()) return 0.0;
@@ -174,17 +155,10 @@ std::string picks_str(const protocol_selector_stats& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool small = false;
-  const char* out_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
-  if (out_path == nullptr) out_path = "BENCH_protocol.json";
+namespace cloudsync::bench {
+
+void protocol_selector_report(report& rep) {
+  const bool small = rep.small;
   print_section(small ? "Protocol selection (small grid)"
                       : "Protocol selection: adaptive vs pinned protocols");
 
@@ -208,14 +182,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const unsigned threads = parallel_runner::default_thread_count();
-  const std::vector<protocol_run_result> serial = evaluate(jobs, 1);
-  const std::vector<protocol_run_result> parallel = evaluate(jobs, threads);
-
-  bool deterministic = true;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    deterministic = deterministic && same(serial[i], parallel[i]);
-  }
+  const auto [serial, deterministic] = evaluate_1_vs_n(rep, jobs, same);
 
   auto cell_at = [&](std::size_t wl, std::size_t env,
                      std::size_t run) -> const protocol_run_result& {
@@ -230,13 +197,19 @@ int main(int argc, char** argv) {
       for (std::size_t r = 0; r < kNumRuns; ++r) {
         if (kRuns[r].identity_of < 0) continue;
         const auto f = static_cast<std::size_t>(kRuns[r].identity_of);
-        if (!same_meter(cell_at(w, e, r).meter, cell_at(w, e, f).meter)) {
+        const traffic_meter& forced = cell_at(w, e, f).meter;
+        if (cell_at(w, e, r).meter != forced) {
           forced_identity = false;
           std::fprintf(stderr,
-                       "identity violation: %s/%s %s vs %s meters differ\n",
+                       "identity violation: %s/%s %s vs %s meters differ\n%s",
                        to_string(kWorkloads[w]), envs[e].name, kRuns[r].name,
-                       kRuns[f].name);
+                       kRuns[f].name,
+                       meter_diff(cell_at(w, e, r).meter, forced).c_str());
         }
+        rep.golden(strfmt("protocol_selector/%s/%s/%s",
+                          to_string(kWorkloads[w]), envs[e].name,
+                          kRuns[f].name),
+                   golden_digest().add(forced).value());
       }
     }
   }
@@ -307,69 +280,56 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf(
-      "checks: deterministic(1 vs %u threads)=%s, forced identity=%s, "
-      "adaptive within %.0f%%=%s, strict win per workload=%s, "
-      "median prediction error=%.3f (< %.2f)=%s\n",
-      threads, deterministic ? "yes" : "NO", forced_identity ? "yes" : "NO",
-      (kAdaptiveSlack - 1.0) * 100.0, adaptive_bounded ? "yes" : "NO",
-      adaptive_wins ? "yes" : "NO", median_err, kMedianErrorBudget,
-      calibrated ? "yes" : "NO");
+  rep.checks.check("forced identity", forced_identity);
+  rep.checks.check(strfmt("adaptive within %.0f%%", (kAdaptiveSlack - 1.0) * 100.0),
+                   adaptive_bounded);
+  rep.checks.check("strict win per workload", adaptive_wins);
+  rep.checks.check(strfmt("median prediction error=%.3f (< %.2f)", median_err,
+                          kMedianErrorBudget),
+                   calibrated);
 
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"protocol_selector\",\n"
-      << "  \"small\": " << (small ? "true" : "false") << ",\n"
-      << "  \"files\": " << files << ",\n"
-      << "  \"file_bytes\": " << kFileBytes << ",\n"
-      << "  \"adaptive_slack\": " << kAdaptiveSlack << ",\n"
-      << "  \"median_error_budget\": " << kMedianErrorBudget << ",\n"
-      << "  \"deterministic\": " << (deterministic ? "true" : "false")
-      << ",\n"
-      << "  \"forced_identity\": " << (forced_identity ? "true" : "false")
-      << ",\n"
-      << "  \"adaptive_bounded\": " << (adaptive_bounded ? "true" : "false")
-      << ",\n"
-      << "  \"adaptive_wins\": " << (adaptive_wins ? "true" : "false")
-      << ",\n"
-      << "  \"median_prediction_error\": " << median_err << ",\n"
-      << "  \"observations\": " << pooled_obs << ",\n"
-      << "  \"cells\": [";
-  bool first_cell = true;
+  json_writer& j = rep.json;
+  j.field("bench", "protocol_selector")
+      .field("small", small)
+      .field("files", files)
+      .field("file_bytes", kFileBytes)
+      .field("adaptive_slack", kAdaptiveSlack)
+      .field("median_error_budget", kMedianErrorBudget)
+      .field("deterministic", deterministic)
+      .field("forced_identity", forced_identity)
+      .field("adaptive_bounded", adaptive_bounded)
+      .field("adaptive_wins", adaptive_wins)
+      .field("median_prediction_error", median_err)
+      .field("observations", pooled_obs);
+  j.array("cells");
   for (std::size_t w = 0; w < num_workloads; ++w) {
     for (std::size_t e = 0; e < num_envs; ++e) {
-      out << (first_cell ? "\n" : ",\n")
-          << "    {\"workload\": \"" << to_string(kWorkloads[w])
-          << "\", \"env\": \"" << envs[e].name << "\", \"runs\": {";
-      first_cell = false;
+      j.object()
+          .field("workload", to_string(kWorkloads[w]))
+          .field("env", envs[e].name)
+          .object("runs");
       for (std::size_t r = 0; r < kNumRuns; ++r) {
         const protocol_run_result& res = cell_at(w, e, r);
-        out << (r == 0 ? "\n" : ",\n") << "      \"" << kRuns[r].name
-            << "\": {\"total\": " << res.total_traffic
-            << ", \"tue\": " << res.tue << ", \"payload_up\": "
-            << res.meter.get(direction::up, traffic_category::payload)
-            << ", \"metadata_up\": "
-            << res.meter.get(direction::up, traffic_category::metadata)
-            << ", \"commits\": " << res.commits << ", \"picks\": ["
-            << res.selector.picks[0] << ", " << res.selector.picks[1] << ", "
-            << res.selector.picks[2] << "], \"observations\": "
-            << res.selector.observations << ", \"median_err\": "
-            << median_of(std::vector<double>(res.selector.abs_rel_errors))
-            << "}";
+        j.object(kRuns[r].name)
+            .field("total", res.total_traffic)
+            .field("tue", res.tue)
+            .field("payload_up",
+                   res.meter.get(direction::up, traffic_category::payload))
+            .field("metadata_up",
+                   res.meter.get(direction::up, traffic_category::metadata))
+            .field("commits", res.commits)
+            .array("picks");
+        for (std::size_t p = 0; p < 3; ++p) j.element(res.selector.picks[p]);
+        j.end()
+            .field("observations", res.selector.observations)
+            .field("median_err",
+                   median_of(std::vector<double>(res.selector.abs_rel_errors)))
+            .end();
       }
-      out << "\n    }}";
+      j.end().end();
     }
   }
-  out << "\n  ]\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", out_path);
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path);
-
-  return deterministic && forced_identity && adaptive_bounded &&
-                 adaptive_wins && calibrated
-             ? 0
-             : 1;
+  j.end();
 }
+
+}  // namespace cloudsync::bench

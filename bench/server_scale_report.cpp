@@ -16,25 +16,26 @@
 // All legs run in-process (no fork — the binary must stay ThreadSanitizer-
 // clean), each against a freshly constructed sync_server.
 //
-// Writes BENCH_server.json (or argv[1]). `--small` runs a reduced grid — the
-// sanitizer CI leg. Exit status is the self-check verdict: identity always
+// Writes BENCH_server.json (`cloudsync_report server_scale [--small]
+// [out.json]`). `--small` runs a reduced grid — the sanitizer leg — and
+// checks the N-shard golden identity hash. Exit status is the self-check
+// verdict: identity always
 // gated; the shard-scaling speedup check only gates on hosts with >= 4
 // cores (narrower hosts report the ratio but cannot demonstrate it).
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "core/parallel_runner.hpp"
+#include "report.hpp"
 #include "server/session.hpp"
 #include "server/sync_server.hpp"
 #include "util/stats.hpp"
 
 using namespace cloudsync;
+using namespace cloudsync::bench;
 
 namespace {
 
@@ -104,23 +105,23 @@ leg_result run_leg(const workload_params& wp, std::uint32_t shards,
   return r;
 }
 
-void json_leg(std::ostream& os, const leg_result& r, const char* indent) {
-  os << indent << "\"wall_ms\": " << r.wall_ms << ",\n"
-     << indent << "\"throughput_sessions_per_s\": " << r.throughput << ",\n"
-     << indent << "\"p50_latency_ms\": " << r.p50_ms << ",\n"
-     << indent << "\"p99_latency_ms\": " << r.p99_ms << ",\n"
-     << indent << "\"mean_queue_wait_ms\": " << r.mean_queue_wait_ms << ",\n"
-     << indent << "\"identity\": \"" << r.identity << "\",\n"
-     << indent << "\"sessions\": " << r.sessions << ",\n"
-     << indent << "\"uploads\": " << r.uploads << ",\n"
-     << indent << "\"dedup_hits\": " << r.dedup_hits << ",\n"
-     << indent << "\"payload_bytes\": " << r.payload_bytes << ",\n"
-     << indent << "\"lock_acquisitions\": " << r.lock_acquisitions << ",\n"
-     << indent << "\"lock_contentions\": " << r.lock_contentions << ",\n"
-     << indent << "\"admission_waits\": " << r.admission_waits << ",\n"
-     << indent << "\"queue_depth_peak\": " << r.queue_depth_peak << ",\n"
-     << indent << "\"in_flight_peak\": " << r.in_flight_peak << ",\n"
-     << indent << "\"failed_sessions\": " << r.failed << "\n";
+void json_leg(json_writer& j, const leg_result& r) {
+  j.field("wall_ms", r.wall_ms)
+      .field("throughput_sessions_per_s", r.throughput)
+      .field("p50_latency_ms", r.p50_ms)
+      .field("p99_latency_ms", r.p99_ms)
+      .field("mean_queue_wait_ms", r.mean_queue_wait_ms)
+      .field("identity", std::to_string(r.identity))
+      .field("sessions", r.sessions)
+      .field("uploads", r.uploads)
+      .field("dedup_hits", r.dedup_hits)
+      .field("payload_bytes", r.payload_bytes)
+      .field("lock_acquisitions", r.lock_acquisitions)
+      .field("lock_contentions", r.lock_contentions)
+      .field("admission_waits", r.admission_waits)
+      .field("queue_depth_peak", r.queue_depth_peak)
+      .field("in_flight_peak", r.in_flight_peak)
+      .field("failed_sessions", r.failed);
 }
 
 workload_params grid_params(std::uint32_t population, double arrival_rate,
@@ -142,20 +143,13 @@ workload_params grid_params(std::uint32_t population, double arrival_rate,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const char* out_path = "BENCH_server.json";
-  bool small = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+namespace cloudsync::bench {
 
+void server_scale_report(report& rep) {
+  const bool small = rep.small;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const std::uint32_t wide_shards = std::max(4u, hw);
-  bench::print_section("Sharded sync server: identity legs");
+  print_section("Sharded sync server: identity legs");
 
   // --- Identity grid: shard count and driver threads must be invisible ---
   const workload_params idp = grid_params(small ? 1'000 : 10'000, 0.2,
@@ -183,10 +177,11 @@ int main(int argc, char** argv) {
     if (leg.r.identity != id_legs.front().r.identity) identity_ok = false;
     if (leg.r.failed != 0) identity_ok = false;
   }
-  std::printf("  identity check: %s\n", identity_ok ? "OK" : "FAILED");
+  rep.checks.check("identity 1/N shards x 1/4 threads", identity_ok);
+  rep.golden("server_scale/shardsN", id_legs[1].r.identity);
 
   // --- Scale grid: populations x arrival rates, 1 shard vs wide ---
-  bench::print_section("Sharded sync server: fleet scale grid");
+  print_section("Sharded sync server: fleet scale grid");
   struct cell {
     std::uint32_t population;
     double rate;
@@ -237,41 +232,40 @@ int main(int argc, char** argv) {
   }
   if (worst_speedup > 1e8) worst_speedup = 1.0;  // grid had no 10k cells
   const bool scaling_gated = hw >= 4;
-  const bool scaling_ok = !scaling_gated || worst_speedup >= 1.5;
-  std::printf("\n  shard scaling (10k grid): worst %u-shard speedup %.2fx %s\n",
-              wide_shards, worst_speedup,
-              scaling_gated ? (scaling_ok ? "(OK)" : "(FAILED, need >= 1.5x)")
-                            : "(report-only: host too narrow to gate)");
-
-  // --- JSON report ---
-  std::ofstream out(out_path);
-  out << "{\n  \"bench\": \"server_scale_report\",\n"
-      << "  \"small\": " << (small ? "true" : "false") << ",\n"
-      << "  \"hardware_concurrency\": " << hw << ",\n"
-      << "  \"wide_shards\": " << wide_shards << ",\n"
-      << "  \"identity_ok\": " << (identity_ok ? "true" : "false") << ",\n"
-      << "  \"scaling_gated\": " << (scaling_gated ? "true" : "false") << ",\n"
-      << "  \"worst_wide_shard_speedup\": " << worst_speedup << ",\n"
-      << "  \"identity_legs\": {\n";
-  for (std::size_t i = 0; i < id_legs.size(); ++i) {
-    out << "    \"" << id_legs[i].name << "\": {\n"
-        << "      \"shards\": " << id_legs[i].shards << ",\n"
-        << "      \"threads\": " << id_legs[i].threads << ",\n";
-    json_leg(out, id_legs[i].r, "      ");
-    out << "    }" << (i + 1 < id_legs.size() ? "," : "") << "\n";
+  const std::string scaling_name =
+      strfmt("%u-shard speedup %.2fx >= 1.5x", wide_shards, worst_speedup);
+  if (scaling_gated) {
+    rep.checks.check(scaling_name, worst_speedup >= 1.5);
+  } else {
+    rep.checks.note(scaling_name, "report-only (host too narrow to gate)");
   }
-  out << "  },\n  \"scale_grid\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    out << "    {\n      \"population\": " << cells[i].population << ",\n"
-        << "      \"arrival_rate\": " << cells[i].rate << ",\n"
-        << "      \"shards\": " << cells[i].shards << ",\n"
-        << "      \"threads\": " << cells[i].threads << ",\n";
-    json_leg(out, cells[i].r, "      ");
-    out << "    }" << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  out.close();
-  std::printf("\n  wrote %s\n", out_path);
 
-  return identity_ok && scaling_ok ? 0 : 1;
+  json_writer& j = rep.json;
+  j.field("bench", "server_scale_report")
+      .field("small", small)
+      .field("hardware_concurrency", hw)
+      .field("wide_shards", wide_shards)
+      .field("identity_ok", identity_ok)
+      .field("scaling_gated", scaling_gated)
+      .field("worst_wide_shard_speedup", worst_speedup);
+  j.object("identity_legs");
+  for (const id_leg& leg : id_legs) {
+    j.object(leg.name).field("shards", leg.shards).field("threads", leg.threads);
+    json_leg(j, leg.r);
+    j.end();
+  }
+  j.end();
+  j.array("scale_grid");
+  for (const cell& c : cells) {
+    j.object()
+        .field("population", c.population)
+        .field("arrival_rate", c.rate)
+        .field("shards", c.shards)
+        .field("threads", c.threads);
+    json_leg(j, c.r);
+    j.end();
+  }
+  j.end();
 }
+
+}  // namespace cloudsync::bench

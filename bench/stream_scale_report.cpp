@@ -15,21 +15,20 @@
 //     store peak under 64 MiB: the cap the streaming rework removed is now
 //     the *memory* budget, not the file-size ceiling. ru_maxrss corroborates.
 //
-// Writes BENCH_stream.json (or argv[1]). `--small` runs the reduced identity
-// legs only — the ASan CI leg. Exit status is the self-check verdict.
+// Writes BENCH_stream.json (`cloudsync_report stream_scale [--small]
+// [out.json]`). `--small` runs the reduced identity legs only — the
+// sanitizer leg — and checks the streaming worlds' golden meter digests.
+// Exit status is the self-check verdict.
 #include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <string>
 
-#include "bench_util.hpp"
 #include "chunking/rsync.hpp"
 #include "core/experiment.hpp"
+#include "meter_diff.hpp"
+#include "report.hpp"
 #include "store/content_ref.hpp"
 #include "store/content_store.hpp"
 #include "util/content_cache.hpp"
@@ -38,9 +37,6 @@ using namespace cloudsync;
 using namespace cloudsync::bench;
 
 namespace {
-
-constexpr std::size_t kCats =
-    static_cast<std::size_t>(traffic_category::kCount);
 
 // ---------------------------------------------------------------------------
 // Kernel identity: streaming jobs vs whole-buffer functions on one input.
@@ -115,30 +111,18 @@ void run_workload(experiment_env& env, const workload_sizes& sz) {
 
 struct world_run {
   double wall_ms = 0;
-  std::uint64_t meter[2][kCats] = {};
+  traffic_meter meter;
   std::uint64_t commits = 0;
   std::uint64_t cloud_hash = 0;
   std::uint64_t peak_store_bytes = 0;
   bool ok = false;
-
-  std::uint64_t total_traffic() const {
-    std::uint64_t t = 0;
-    for (int d = 0; d < 2; ++d) {
-      for (std::size_t c = 0; c < kCats; ++c) t += meter[d][c];
-    }
-    return t;
-  }
 };
 
 /// One engine world in a forked child: legacy and streaming runs share no
 /// process-wide memo, cache, or store high-water mark.
 world_run run_world(const service_profile& profile, bool whole_file_planning,
                     bool journal, const workload_sizes& sz) {
-  int fd[2];
-  if (pipe(fd) != 0) return {};
-  const pid_t pid = fork();
-  if (pid == 0) {
-    close(fd[0]);
+  return run_in_child([&] {
     content_store::global().reset_peak();
     experiment_config cfg{profile};
     cfg.method = access_method::pc_client;
@@ -152,13 +136,7 @@ world_run run_world(const service_profile& profile, bool whole_file_planning,
     w.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-    const traffic_meter& m = env.primary().client->meter();
-    for (int d = 0; d < 2; ++d) {
-      for (std::size_t c = 0; c < kCats; ++c) {
-        w.meter[d][c] = m.get(static_cast<direction>(d),
-                              static_cast<traffic_category>(c));
-      }
-    }
+    w.meter = env.primary().client->meter();
     w.commits = env.primary().client->commit_count();
     std::uint64_t h = 0;
     for (const char* path : {"a.bin", "b.txt", "c.rand"}) {
@@ -167,53 +145,18 @@ world_run run_world(const service_profile& profile, bool whole_file_planning,
     w.cloud_hash = h;
     w.peak_store_bytes = content_store::global().stats().peak_live_bytes;
     w.ok = true;
-    std::size_t off = 0;
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&w);
-    while (off < sizeof w) {
-      const ssize_t n = write(fd[1], p + off, sizeof(w) - off);
-      if (n <= 0) _exit(2);
-      off += static_cast<std::size_t>(n);
-    }
-    _exit(0);
-  }
-  close(fd[1]);
-  world_run w;
-  std::size_t off = 0;
-  auto* p = reinterpret_cast<std::uint8_t*>(&w);
-  while (off < sizeof w) {
-    const ssize_t n = read(fd[0], p + off, sizeof(w) - off);
-    if (n <= 0) break;
-    off += static_cast<std::size_t>(n);
-  }
-  close(fd[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (off != sizeof w || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    return {};
-  }
-  return w;
+    return w;
+  });
 }
 
 /// Per-cell meter equality — not grand totals, which could mask compensating
 /// differences between categories or directions.
 bool worlds_identical(const world_run& legacy, const world_run& streaming) {
   if (!legacy.ok || !streaming.ok) return false;
-  bool same = true;
-  for (int d = 0; d < 2; ++d) {
-    for (std::size_t c = 0; c < kCats; ++c) {
-      if (legacy.meter[d][c] != streaming.meter[d][c]) {
-        std::printf("    MISMATCH %s %s: legacy %llu streaming %llu\n",
-                    to_string(static_cast<traffic_category>(c)),
-                    d == 0 ? "up" : "down",
-                    static_cast<unsigned long long>(legacy.meter[d][c]),
-                    static_cast<unsigned long long>(streaming.meter[d][c]));
-        same = false;
-      }
-    }
-  }
-  same &= legacy.commits == streaming.commits;
-  same &= legacy.cloud_hash == streaming.cloud_hash;
-  return same;
+  std::printf("%s", meter_diff(legacy.meter, streaming.meter).c_str());
+  return legacy.meter == streaming.meter &&
+         legacy.commits == streaming.commits &&
+         legacy.cloud_hash == streaming.cloud_hash;
 }
 
 struct identity_case {
@@ -266,11 +209,7 @@ content_ref make_pooled_file(std::uint64_t size) {
 }
 
 scale_run run_scale_leg() {
-  int fd[2];
-  if (pipe(fd) != 0) return {};
-  const pid_t pid = fork();
-  if (pid == 0) {
-    close(fd[0]);
+  return run_in_child([] {
     content_store::global().reset_peak();
 
     // Dropbox-shaped client with the knobs that matter at this size: IDS on,
@@ -315,12 +254,7 @@ scale_run run_scale_leg() {
 
     const traffic_meter& m = env.primary().client->meter();
     s.payload_up = m.get(direction::up, traffic_category::payload);
-    for (int d = 0; d < 2; ++d) {
-      for (std::size_t c = 0; c < kCats; ++c) {
-        s.total_traffic += m.get(static_cast<direction>(d),
-                                 static_cast<traffic_category>(c));
-      }
-    }
+    s.total_traffic = m.total();
     s.commits = env.primary().client->commit_count();
     s.converged =
         env.the_cloud().file_content(0, "big.bin")->equal(st.fs.read("big.bin"));
@@ -329,61 +263,32 @@ scale_run run_scale_leg() {
     getrusage(RUSAGE_SELF, &ru);
     s.maxrss_kb = static_cast<std::uint64_t>(ru.ru_maxrss);
     s.ok = true;
-    std::size_t off = 0;
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&s);
-    while (off < sizeof s) {
-      const ssize_t n = write(fd[1], p + off, sizeof(s) - off);
-      if (n <= 0) _exit(2);
-      off += static_cast<std::size_t>(n);
-    }
-    _exit(0);
-  }
-  close(fd[1]);
-  scale_run s;
-  std::size_t off = 0;
-  auto* p = reinterpret_cast<std::uint8_t*>(&s);
-  while (off < sizeof s) {
-    const ssize_t n = read(fd[0], p + off, sizeof(s) - off);
-    if (n <= 0) break;
-    off += static_cast<std::size_t>(n);
-  }
-  close(fd[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (off != sizeof s || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    return {};
-  }
-  return s;
+    return s;
+  });
 }
 
-void json_world(std::ostream& os, const char* key, const world_run& w,
-                bool last = false) {
-  os << "      \"" << key << "\": {\"wall_ms\": " << w.wall_ms
-     << ", \"total_traffic\": " << w.total_traffic()
-     << ", \"commits\": " << w.commits
-     << ", \"peak_store_bytes\": " << w.peak_store_bytes << "}"
-     << (last ? "\n" : ",\n");
+void json_world(json_writer& j, const char* key, const world_run& w) {
+  j.object(key)
+      .field("wall_ms", w.wall_ms)
+      .field("total_traffic", w.meter.total())
+      .field("commits", w.commits)
+      .field("peak_store_bytes", w.peak_store_bytes)
+      .end();
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool small = false;
-  const char* out_path = "BENCH_stream.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+namespace cloudsync::bench {
 
+void stream_scale_report(report& rep) {
+  const bool small = rep.small;
   print_section(small ? "Streaming sync report (small identity legs)"
                       : "Streaming sync report: identity + 4 GiB scale leg");
 
   // Kernel identity: the streaming jobs against the whole-buffer functions.
   const std::size_t kernel_bytes = small ? 1 * MiB : 8 * MiB;
-  const bool kernel_ok = kernel_identity(kernel_bytes);
+  const bool kernel_ok =
+      rep.checks.check("kernel identity", kernel_identity(kernel_bytes));
   std::printf("kernel identity (%s base): %s\n",
               human(static_cast<double>(kernel_bytes)).c_str(),
               kernel_ok ? "byte-identical" : "DIVERGED");
@@ -414,10 +319,17 @@ int main(int argc, char** argv) {
     std::printf("  %-16s legacy %7.0f ms  streaming %7.0f ms  traffic %10s  "
                 "identical: %s\n",
                 c.key, c.legacy.wall_ms, c.streaming.wall_ms,
-                human(static_cast<double>(c.streaming.total_traffic())).c_str(),
+                human(static_cast<double>(c.streaming.meter.total())).c_str(),
                 c.identical ? "yes" : "NO");
     engine_ok &= c.identical;
+    rep.golden(std::string("stream_scale/") + c.key,
+               golden_digest()
+                   .add(c.streaming.meter)
+                   .add(c.streaming.commits)
+                   .add(c.streaming.cloud_hash)
+                   .value());
   }
+  rep.checks.check("engine identity legacy==streaming", engine_ok);
 
   // Scale leg (full mode): the file the 64 MiB cap used to forbid.
   scale_run sc;
@@ -426,8 +338,10 @@ int main(int argc, char** argv) {
     std::printf("scale leg: %s pooled file, journaled streaming client\n",
                 human(static_cast<double>(kScaleFileBytes)).c_str());
     sc = run_scale_leg();
-    scale_ok = sc.ok && sc.converged && sc.file_bytes >= kScaleFileBytes &&
-               sc.peak_store_bytes <= kPeakBudget;
+    scale_ok = rep.checks.check(
+        "4 GiB leg converged within the 64 MiB store budget",
+        sc.ok && sc.converged && sc.file_bytes >= kScaleFileBytes &&
+            sc.peak_store_bytes <= kPeakBudget);
     std::printf("  create %8.0f ms   updates %8.0f ms   payload up %10s\n",
                 sc.create_ms, sc.update_ms,
                 human(static_cast<double>(sc.payload_up)).c_str());
@@ -442,45 +356,36 @@ int main(int argc, char** argv) {
 
   const bool passed = kernel_ok && engine_ok && scale_ok;
 
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"stream_scale\",\n"
-      << "  \"small\": " << (small ? "true" : "false") << ",\n"
-      << "  \"kernel_identity\": {\"base_bytes\": " << kernel_bytes
-      << ", \"identical\": " << (kernel_ok ? "true" : "false") << "},\n"
-      << "  \"engine_identity\": {\n";
-  for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const identity_case& c = cases[i];
-    out << "    \"" << c.key << "\": {\n";
-    json_world(out, "legacy", c.legacy);
-    json_world(out, "streaming", c.streaming);
-    out << "      \"identical\": " << (c.identical ? "true" : "false")
-        << "\n    }" << (i + 1 < std::size(cases) ? ",\n" : "\n");
+  json_writer& j = rep.json;
+  j.field("bench", "stream_scale").field("small", small);
+  j.object("kernel_identity")
+      .field("base_bytes", kernel_bytes)
+      .field("identical", kernel_ok)
+      .end();
+  j.object("engine_identity");
+  for (const identity_case& c : cases) {
+    j.object(c.key);
+    json_world(j, "legacy", c.legacy);
+    json_world(j, "streaming", c.streaming);
+    j.field("identical", c.identical).end();
   }
-  out << "  },\n";
+  j.end();
   if (!small) {
-    out << "  \"scale_leg\": {\n"
-        << "    \"file_bytes\": " << sc.file_bytes
-        << ", \"create_ms\": " << sc.create_ms
-        << ", \"update_ms\": " << sc.update_ms << ",\n"
-        << "    \"payload_up\": " << sc.payload_up
-        << ", \"total_traffic\": " << sc.total_traffic
-        << ", \"commits\": " << sc.commits << ",\n"
-        << "    \"peak_store_bytes\": " << sc.peak_store_bytes
-        << ", \"peak_budget_bytes\": " << kPeakBudget
-        << ", \"maxrss_kb\": " << sc.maxrss_kb << ",\n"
-        << "    \"converged\": " << (sc.converged ? "true" : "false")
-        << ", \"within_budget\": "
-        << (sc.peak_store_bytes <= kPeakBudget ? "true" : "false")
-        << "\n  },\n";
+    j.object("scale_leg")
+        .field("file_bytes", sc.file_bytes)
+        .field("create_ms", sc.create_ms)
+        .field("update_ms", sc.update_ms)
+        .field("payload_up", sc.payload_up)
+        .field("total_traffic", sc.total_traffic)
+        .field("commits", sc.commits)
+        .field("peak_store_bytes", sc.peak_store_bytes)
+        .field("peak_budget_bytes", kPeakBudget)
+        .field("maxrss_kb", sc.maxrss_kb)
+        .field("converged", sc.converged)
+        .field("within_budget", sc.peak_store_bytes <= kPeakBudget)
+        .end();
   }
-  out << "  \"self_check_passed\": " << (passed ? "true" : "false") << "\n}\n";
-  out.close();
-  std::printf("wrote %s\n", out_path);
-
-  if (!passed) {
-    std::printf("SELF-CHECK FAILED\n");
-    return 1;
-  }
-  return 0;
+  j.field("self_check_passed", passed);
 }
+
+}  // namespace cloudsync::bench

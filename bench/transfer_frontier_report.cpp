@@ -23,14 +23,14 @@
 //     baseline's (redundancy must buy its tail latency, not blow the TUE
 //     budget the paper is about).
 //
-// Machine-readable output: BENCH_transfer.json (or argv[1]). `--small` runs
-// the reduced identity grid only (sanitizer CI leg).
+// Machine-readable output: BENCH_transfer.json (`cloudsync_report
+// transfer_frontier [--small] [out.json]`). `--small` runs the reduced
+// identity grid only, for the sanitizer builds, and checks the fault-free
+// adaptive cells' golden digests.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "report.hpp"
 
 using namespace cloudsync;
 using namespace cloudsync::bench;
@@ -144,38 +144,31 @@ cell_view pool(const transfer_run_result* runs, std::size_t n) {
 
 using job = std::function<transfer_run_result()>;
 
-std::vector<transfer_run_result> evaluate(const std::vector<job>& jobs,
-                                          unsigned threads) {
-  std::vector<transfer_run_result> out(jobs.size());
-  parallel_runner pool(threads);
-  pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
-  return out;
+/// Golden digest of everything `same` compares.
+std::uint64_t run_digest(const transfer_run_result& r) {
+  golden_digest d;
+  for (const double s : r.delay_samples_sec) d.add(s);
+  d.add(r.total_traffic).add(r.payload_traffic).add(r.retry_traffic);
+  d.add(r.redundancy_traffic).add(r.resume_traffic).add(r.data_update_bytes);
+  d.add(r.tue).add(r.retries).add(r.requeues).add(r.fallbacks);
+  d.add(r.faults_injected).add(r.sched.stripes).add(r.sched.hedges_fired);
+  d.add(r.sched.hedges_won).add(r.sched.reconstructions);
+  return d.add(r.sched.recovery_rounds).value();
 }
 
-void json_cdf(std::ofstream& out, const std::vector<double>& samples) {
+void json_cdf(json_writer& j, const std::vector<double>& samples) {
   const empirical_cdf cdf{std::vector<double>(samples)};
-  const auto pts = cdf.points(24);
-  out << "[";
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    out << (i ? ", " : "") << "[" << pts[i].first << ", " << pts[i].second
-        << "]";
-  }
-  out << "]";
+  j.array("delay_cdf");
+  for (const auto& [x, p] : cdf.points(24)) j.array().element(x).element(p).end();
+  j.end();
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool small = false;
-  const char* out_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
-  if (out_path == nullptr) out_path = "BENCH_transfer.json";
+namespace cloudsync::bench {
+
+void transfer_frontier_report(report& rep) {
+  const bool small = rep.small;
   print_section(small
                     ? "Transfer frontier (small identity grid)"
                     : "Transfer frontier: tail delay vs redundancy overhead");
@@ -211,14 +204,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const unsigned threads = parallel_runner::default_thread_count();
-  const std::vector<transfer_run_result> serial = evaluate(jobs, 1);
-  const std::vector<transfer_run_result> parallel = evaluate(jobs, threads);
-
-  bool deterministic = true;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    deterministic = deterministic && same(serial[i], parallel[i]);
-  }
+  const auto [serial, deterministic] = evaluate_1_vs_n(rep, jobs, same);
 
   auto cell_at = [&](std::size_t intensity, std::size_t config,
                      std::size_t seed) -> const transfer_run_result& {
@@ -232,6 +218,9 @@ int main(int argc, char** argv) {
   for (std::size_t seed = 0; seed < num_seeds; ++seed) {
     clean_identity = clean_identity && same(cell_at(0, 0, seed),
                                             cell_at(0, 1, seed));
+    rep.golden(strfmt("transfer_frontier/adaptive/seed%llu",
+                      (unsigned long long)seeds[seed]),
+               run_digest(cell_at(0, 1, seed)));
   }
 
   // Redundancy bytes only ever appear when the scheduler stripes: never for
@@ -303,70 +292,64 @@ int main(int argc, char** argv) {
                 t.str().c_str());
   }
 
-  std::printf(
-      "checks: deterministic(1 vs %u threads)=%s, clean-link identity=%s, "
-      "redundancy gated=%s, frontier (p99 win within +%.2f overhead)=%s\n",
-      threads, deterministic ? "yes" : "NO", clean_identity ? "yes" : "NO",
-      redundancy_gated ? "yes" : "NO", kOverheadBudget,
-      small ? "skipped (--small)" : (frontier_ok ? "yes" : "NO"));
+  rep.checks.check("clean-link identity", clean_identity);
+  rep.checks.check("redundancy gated", redundancy_gated);
+  const std::string frontier_name =
+      strfmt("frontier (p99 win within +%.2f overhead)", kOverheadBudget);
+  if (small) {
+    rep.checks.note(frontier_name, "skipped (--small)");
+  } else {
+    rep.checks.check(frontier_name, frontier_ok);
+  }
 
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"transfer_frontier\",\n"
-      << "  \"small\": " << (small ? "true" : "false") << ",\n"
-      << "  \"files\": " << files << ",\n"
-      << "  \"file_bytes\": " << kFileBytes << ",\n"
-      << "  \"chunk_bytes\": " << kChunkBytes << ",\n"
-      << "  \"seeds\": " << num_seeds << ",\n"
-      << "  \"overhead_budget\": " << kOverheadBudget << ",\n"
-      << "  \"deterministic\": " << (deterministic ? "true" : "false")
-      << ",\n"
-      << "  \"clean_identity\": " << (clean_identity ? "true" : "false")
-      << ",\n"
-      << "  \"redundancy_gated\": " << (redundancy_gated ? "true" : "false")
-      << ",\n"
-      << "  \"frontier_ok\": "
-      << (small ? "null" : (frontier_ok ? "true" : "false")) << ",\n"
-      << "  \"intensities\": [";
+  json_writer& j = rep.json;
+  j.field("bench", "transfer_frontier")
+      .field("small", small)
+      .field("files", files)
+      .field("file_bytes", kFileBytes)
+      .field("chunk_bytes", kChunkBytes)
+      .field("seeds", num_seeds)
+      .field("overhead_budget", kOverheadBudget)
+      .field("deterministic", deterministic)
+      .field("clean_identity", clean_identity)
+      .field("redundancy_gated", redundancy_gated);
+  if (small) {
+    j.field("frontier_ok", nullptr);
+  } else {
+    j.field("frontier_ok", frontier_ok);
+  }
+  j.array("intensities");
   for (std::size_t in = 0; in < intensities.size(); ++in) {
-    out << (in == 0 ? "\n" : ",\n") << "    {\"intensity\": "
-        << intensities[in] << ", \"winner\": "
-        << (winner[in] > 0 ? std::string("\"") +
-                                 configs[static_cast<std::size_t>(winner[in])]
-                                     .name +
-                                 "\""
-                           : std::string("null"))
-        << ", \"configs\": {";
+    j.object().field("intensity", intensities[in]);
+    if (winner[in] > 0) {
+      j.field("winner", configs[static_cast<std::size_t>(winner[in])].name);
+    } else {
+      j.field("winner", nullptr);
+    }
+    j.object("configs");
     for (std::size_t c = 0; c < num_configs; ++c) {
       const cell_view& v = table[in][c];
-      out << (c == 0 ? "\n" : ",\n") << "      \"" << configs[c].name
-          << "\": {\"p50\": " << v.p50 << ", \"p95\": " << v.p95
-          << ", \"p99\": " << v.p99 << ", \"mean\": " << v.mean
-          << ", \"tue\": " << v.tue
-          << ", \"overhead_ratio\": " << v.overhead_ratio
-          << ", \"redundancy_traffic\": " << v.redundancy_traffic
-          << ", \"retry_traffic\": " << v.retry_traffic
-          << ", \"stripes\": " << v.stripes
-          << ", \"hedges_fired\": " << v.hedges_fired
-          << ", \"hedges_won\": " << v.hedges_won
-          << ", \"reconstructions\": " << v.reconstructions
-          << ", \"recovery_rounds\": " << v.recovery_rounds
-          << ", \"gave_up\": " << v.requeues << ", \"delay_cdf\": ";
-      json_cdf(out, v.delays);
-      out << "}";
+      j.object(configs[c].name)
+          .field("p50", v.p50)
+          .field("p95", v.p95)
+          .field("p99", v.p99)
+          .field("mean", v.mean)
+          .field("tue", v.tue)
+          .field("overhead_ratio", v.overhead_ratio)
+          .field("redundancy_traffic", v.redundancy_traffic)
+          .field("retry_traffic", v.retry_traffic)
+          .field("stripes", v.stripes)
+          .field("hedges_fired", v.hedges_fired)
+          .field("hedges_won", v.hedges_won)
+          .field("reconstructions", v.reconstructions)
+          .field("recovery_rounds", v.recovery_rounds)
+          .field("gave_up", v.requeues);
+      json_cdf(j, v.delays);
+      j.end();
     }
-    out << "\n    }}";
+    j.end().end();
   }
-  out << "\n  ]\n}\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: could not write %s\n", out_path);
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path);
-
-  return deterministic && clean_identity && redundancy_gated &&
-                 (small || frontier_ok)
-             ? 0
-             : 1;
+  j.end();
 }
+
+}  // namespace cloudsync::bench

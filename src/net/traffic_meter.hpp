@@ -68,6 +68,9 @@ class traffic_meter {
 
   std::string summary() const;
 
+  /// Equal when every (direction, category) counter is equal.
+  bool operator==(const traffic_meter&) const = default;
+
  private:
   static std::size_t idx(direction dir, traffic_category cat) {
     return static_cast<std::size_t>(dir) *

@@ -13,6 +13,7 @@
 #include "core/fleet.hpp"
 #include "core/invariants.hpp"
 #include "core/parallel_runner.hpp"
+#include "meter_diff.hpp"
 
 namespace cloudsync {
 namespace {
@@ -31,18 +32,6 @@ experiment_config tier_cfg(std::uint64_t capacity,
   cfg.cache.write_mode = mode;
   cfg.cache.coalesce_window = sim_time::from_sec(window_sec);
   return cfg;
-}
-
-bool same_meter(const traffic_meter& a, const traffic_meter& b) {
-  for (int d = 0; d < 2; ++d) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-      const auto dir = static_cast<direction>(d);
-      const auto cat = static_cast<traffic_category>(c);
-      if (a.get(dir, cat) != b.get(dir, cat)) return false;
-    }
-  }
-  return true;
 }
 
 invariant_report check_all(experiment_env& env, station& st) {
@@ -72,7 +61,8 @@ TEST(BlockCacheTier, UncappedWriteThroughIsByteIdenticalToCacheless) {
     SCOPED_TRACE(to_string(policy));
     const cache_run_result cached = run_cache_experiment(
         tier_cfg(0, policy), cache_workload::looping_scan, 6, 32 * KiB);
-    EXPECT_TRUE(same_meter(base.meter, cached.meter));
+    EXPECT_TRUE(base.meter == cached.meter)
+        << meter_diff(base.meter, cached.meter);
     EXPECT_EQ(base.total_traffic, cached.total_traffic);
     EXPECT_EQ(base.commits, cached.commits);
     // An uncapped cache never misses after install and never rehydrates.
@@ -320,7 +310,8 @@ TEST(BlockCacheConcurrent, ParallelWriteBackEnvsAreIndependent) {
         cache_workload::frequent_mods, 4, 32 * KiB);
   });
   for (std::size_t i = 1; i < kRuns; ++i) {
-    EXPECT_TRUE(same_meter(results[0].meter, results[i].meter)) << i;
+    EXPECT_TRUE(results[0].meter == results[i].meter)
+        << i << "\n" << meter_diff(results[0].meter, results[i].meter);
     EXPECT_EQ(results[0].commits, results[i].commits) << i;
     EXPECT_EQ(results[0].cache.hits, results[i].cache.hits) << i;
     EXPECT_EQ(results[0].cache.dirty_marked, results[i].cache.dirty_marked)

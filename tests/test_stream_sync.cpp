@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "meter_diff.hpp"
 
 namespace cloudsync {
 namespace {
@@ -65,14 +66,8 @@ void expect_identical_worlds(const world_result& legacy,
                              const world_result& streaming) {
   // The satellite self-check: per-category, per-direction equality — not
   // just grand totals, which could mask compensating differences.
-  for (const direction dir : {direction::up, direction::down}) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-      const auto cat = static_cast<traffic_category>(c);
-      EXPECT_EQ(streaming.meter.get(dir, cat), legacy.meter.get(dir, cat))
-          << to_string(cat) << (dir == direction::up ? " up" : " down");
-    }
-  }
+  EXPECT_TRUE(streaming.meter == legacy.meter)
+      << meter_diff(streaming.meter, legacy.meter);
   EXPECT_EQ(streaming.commits, legacy.commits);
   EXPECT_EQ(streaming.a_hash, legacy.a_hash);
   EXPECT_EQ(streaming.b_hash, legacy.b_hash);

@@ -7,6 +7,7 @@
 #include "core/experiment.hpp"
 #include "core/parallel_runner.hpp"
 #include "fs/file_ops.hpp"
+#include "meter_diff.hpp"
 
 namespace cloudsync {
 namespace {
@@ -232,16 +233,8 @@ TEST(SyncProtocol, SelectionDeterministicAcrossGridThreads) {
     EXPECT_EQ(serial[i].selector.observations,
               parallel[i].selector.observations)
         << i;
-    for (int d = 0; d < 2; ++d) {
-      for (std::size_t c = 0;
-           c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-        EXPECT_EQ(serial[i].meter.get(static_cast<direction>(d),
-                                      static_cast<traffic_category>(c)),
-                  parallel[i].meter.get(static_cast<direction>(d),
-                                        static_cast<traffic_category>(c)))
-            << i << " dir " << d << " cat " << c;
-      }
-    }
+    EXPECT_TRUE(serial[i].meter == parallel[i].meter)
+        << i << "\n" << meter_diff(serial[i].meter, parallel[i].meter);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "meter_diff.hpp"
+
 namespace cloudsync {
 namespace {
 
@@ -142,6 +144,21 @@ TEST(TrafficMeter, RehydrateSurvivesResetAndSnapshotClamp) {
   EXPECT_EQ(m.total_since(snap), 0u);
   m.record(direction::down, traffic_category::rehydrate, 1250);
   EXPECT_EQ(m.total_since(snap), 250u);
+}
+
+TEST(TrafficMeter, EqualityComparesEveryCellAndDiffNamesIt) {
+  // Same totals, different cells: equality and meter_diff must both see it.
+  traffic_meter a, b;
+  a.record(direction::up, traffic_category::payload, 100);
+  b.record(direction::down, traffic_category::payload, 100);
+  EXPECT_EQ(a.total(), b.total());
+  EXPECT_FALSE(a == b);
+  EXPECT_EQ(meter_diff(a, b),
+            "up/payload: 100 vs 0\ndown/payload: 0 vs 100\n");
+  b.reset();
+  b.record(direction::up, traffic_category::payload, 100);
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(meter_diff(a, b), "");
 }
 
 }  // namespace
