@@ -168,8 +168,10 @@ void cache_tier_report(report& rep) {
       std::fprintf(stderr, "identity violation: %s\n%s", pr.name,
                    meter_diff(base.meter, cached.meter).c_str());
     }
-    rep.golden(std::string("cache_tier/") + pr.name,
-               golden_digest().add(cached.meter).value());
+    if (small) {
+      rep.golden(std::string("cache_tier/") + pr.name,
+                 golden_digest().add(cached.meter).value());
+    }
   }
 
   // Gates: ARC beats (or ties) LRU at every scan capacity; LRU hit ratio

@@ -206,10 +206,12 @@ void protocol_selector_report(report& rep) {
                        kRuns[f].name,
                        meter_diff(cell_at(w, e, r).meter, forced).c_str());
         }
-        rep.golden(strfmt("protocol_selector/%s/%s/%s",
-                          to_string(kWorkloads[w]), envs[e].name,
-                          kRuns[f].name),
-                   golden_digest().add(forced).value());
+        if (small) {
+          rep.golden(strfmt("protocol_selector/%s/%s/%s",
+                            to_string(kWorkloads[w]), envs[e].name,
+                            kRuns[f].name),
+                     golden_digest().add(forced).value());
+        }
       }
     }
   }

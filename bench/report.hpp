@@ -152,8 +152,10 @@ struct report {
   bool small = false;  ///< `--small`: the reduced, sanitizer-friendly grid
   verdict checks;
   json_writer json;
-  /// Golden digests of the run's identity legs, keyed `<report>/<leg>`; a
-  /// `--small` run must match tests/golden/report_identity.txt.
+  /// Golden digests of the run's identity legs, keyed `<report>/<leg>`,
+  /// recorded only by legs run at the golden file's configuration. Checked
+  /// against tests/golden/report_identity.txt on every `--small` run and
+  /// every run that records any.
   std::vector<std::pair<std::string, std::uint64_t>> goldens;
 
   void golden(std::string key, std::uint64_t digest) {

@@ -7,8 +7,9 @@
 // JSON (default: the report's BENCH_*.json in the working directory). The
 // exit status is the verdict: 0 when every check passed and the JSON was
 // written, 1 otherwise, 2 on a usage error. `--small` runs the reduced grid
-// the sanitizer builds use, where a report has one, and also checks the
-// report's golden identity digests (tests/golden/report_identity.txt).
+// the sanitizer builds use, where a report has one. The report's golden
+// identity digests (tests/golden/report_identity.txt) are checked on every
+// `--small` run and on every full run that records them.
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -143,7 +144,7 @@ int main(int argc, char** argv) {
   }
 
   entry->run(rep);
-  if (rep.small) {
+  if (rep.small || !rep.goldens.empty()) {
     rep.checks.check("golden digests", goldens_match(entry->name, rep));
   }
   rep.checks.print();

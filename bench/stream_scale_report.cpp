@@ -1,13 +1,14 @@
-// Streaming sync vs legacy whole-file planning, and the post-cap scale leg.
+// Streaming sync: kernel identity, golden engine worlds, and the post-cap
+// scale leg.
 //
-// Two legs:
-//   - identity leg: (a) kernel-level — signature / delta / wire bytes from
-//     the streaming jobs must be byte-identical to the whole-buffer path on
-//     multi-MB inputs; (b) engine-level — forked legacy and streaming worlds
-//     replay the same seeded workload and every traffic_meter cell (category
-//     x direction), commit count, and cloud content hash must match. Worlds
-//     fork so the process-wide signature/delta memos of one can never serve
-//     the other (which would hide a divergence).
+// Three legs:
+//   - kernel identity: signature / delta / wire bytes from the streaming
+//     jobs must be byte-identical to the whole-buffer functions on a
+//     multi-MB input.
+//   - engine worlds: forked streaming worlds replay a seeded workload; each
+//     world's traffic_meter cells (category x direction), commit count and
+//     cloud content hash form its golden digest. Worlds fork so one's
+//     store high-water mark never shows in another's.
 //   - scale leg (full mode only): a 4 GiB incompressible file — a rope
 //     tiling a 32 x 1 MiB segment pool, so unique bytes stay O(pool) — is
 //     created and then delta-synced twice through a journaled client with
@@ -16,9 +17,9 @@
 //     the *memory* budget, not the file-size ceiling. ru_maxrss corroborates.
 //
 // Writes BENCH_stream.json (`cloudsync_report stream_scale [--small]
-// [out.json]`). `--small` runs the reduced identity legs only — the
-// sanitizer leg — and checks the streaming worlds' golden meter digests.
-// Exit status is the self-check verdict.
+// [out.json]`). `--small` shrinks the kernel input and skips the scale leg;
+// both modes check the engine worlds' golden digests. Exit status is the
+// self-check verdict.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -27,7 +28,6 @@
 
 #include "chunking/rsync.hpp"
 #include "core/experiment.hpp"
-#include "meter_diff.hpp"
 #include "report.hpp"
 #include "store/content_ref.hpp"
 #include "store/content_store.hpp"
@@ -81,7 +81,7 @@ bool kernel_identity(std::size_t base_bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine identity: forked legacy vs streaming worlds on a seeded workload.
+// Engine worlds: one seeded workload per service, forked.
 // ---------------------------------------------------------------------------
 
 struct workload_sizes {
@@ -118,16 +118,14 @@ struct world_run {
   bool ok = false;
 };
 
-/// One engine world in a forked child: legacy and streaming runs share no
-/// process-wide memo, cache, or store high-water mark.
-world_run run_world(const service_profile& profile, bool whole_file_planning,
-                    bool journal, const workload_sizes& sz) {
+/// One engine world in a forked child, so its store peak is its own.
+world_run run_world(const service_profile& profile, bool journal,
+                    const workload_sizes& sz) {
   return run_in_child([&] {
     content_store::global().reset_peak();
     experiment_config cfg{profile};
     cfg.method = access_method::pc_client;
     cfg.use_content_cache = false;
-    cfg.whole_file_planning = whole_file_planning;
     cfg.journal = journal;
     const auto t0 = std::chrono::steady_clock::now();
     experiment_env env(cfg);
@@ -148,22 +146,6 @@ world_run run_world(const service_profile& profile, bool whole_file_planning,
     return w;
   });
 }
-
-/// Per-cell meter equality — not grand totals, which could mask compensating
-/// differences between categories or directions.
-bool worlds_identical(const world_run& legacy, const world_run& streaming) {
-  if (!legacy.ok || !streaming.ok) return false;
-  std::printf("%s", meter_diff(legacy.meter, streaming.meter).c_str());
-  return legacy.meter == streaming.meter &&
-         legacy.commits == streaming.commits &&
-         legacy.cloud_hash == streaming.cloud_hash;
-}
-
-struct identity_case {
-  const char* key;
-  world_run legacy, streaming;
-  bool identical = false;
-};
 
 // ---------------------------------------------------------------------------
 // Scale leg: one 4 GiB file through a journaled streaming client.
@@ -267,15 +249,6 @@ scale_run run_scale_leg() {
   });
 }
 
-void json_world(json_writer& j, const char* key, const world_run& w) {
-  j.object(key)
-      .field("wall_ms", w.wall_ms)
-      .field("total_traffic", w.meter.total())
-      .field("commits", w.commits)
-      .field("peak_store_bytes", w.peak_store_bytes)
-      .end();
-}
-
 }  // namespace
 
 namespace cloudsync::bench {
@@ -293,43 +266,41 @@ void stream_scale_report(report& rep) {
               human(static_cast<double>(kernel_bytes)).c_str(),
               kernel_ok ? "byte-identical" : "DIVERGED");
 
-  // Engine identity: legacy whole-file planning vs streaming, forked worlds.
-  const workload_sizes sz = small
-                                ? workload_sizes{384 * KiB, 192 * KiB,
-                                                 128 * KiB, 16 * KiB}
-                                : workload_sizes{6 * MiB, 3 * MiB, 4 * MiB,
-                                                 32 * KiB};
-  identity_case cases[] = {
-      {"dropbox", {}, {}, false},           // IDS + compression
-      {"google_drive", {}, {}, false},      // full-file, no IDS
-      {"dropbox_journal", {}, {}, false},   // resumable sessions
+  // Engine worlds at the sizes tests/golden/report_identity.txt pins, in
+  // both modes.
+  const workload_sizes sz{384 * KiB, 192 * KiB, 128 * KiB, 16 * KiB};
+  struct world_case {
+    const char* key;
+    world_run w;
   };
-  std::printf("engine identity: workload %s/%s/%s, legacy vs streaming\n",
+  world_case cases[] = {
+      {"dropbox", {}},          // IDS + compression
+      {"google_drive", {}},     // full-file, no IDS
+      {"dropbox_journal", {}},  // resumable sessions
+  };
+  std::printf("engine worlds: workload %s/%s/%s\n",
               human(static_cast<double>(sz.a)).c_str(),
               human(static_cast<double>(sz.b)).c_str(),
               human(static_cast<double>(sz.c)).c_str());
-  bool engine_ok = true;
-  for (identity_case& c : cases) {
+  bool worlds_ok = true;
+  for (world_case& c : cases) {
     const bool journal = std::strcmp(c.key, "dropbox_journal") == 0;
     const service_profile prof =
         std::strcmp(c.key, "google_drive") == 0 ? google_drive() : dropbox();
-    c.legacy = run_world(prof, /*whole_file_planning=*/true, journal, sz);
-    c.streaming = run_world(prof, /*whole_file_planning=*/false, journal, sz);
-    c.identical = worlds_identical(c.legacy, c.streaming);
-    std::printf("  %-16s legacy %7.0f ms  streaming %7.0f ms  traffic %10s  "
-                "identical: %s\n",
-                c.key, c.legacy.wall_ms, c.streaming.wall_ms,
-                human(static_cast<double>(c.streaming.meter.total())).c_str(),
-                c.identical ? "yes" : "NO");
-    engine_ok &= c.identical;
+    c.w = run_world(prof, journal, sz);
+    std::printf("  %-16s %7.0f ms  traffic %10s  commits %llu\n", c.key,
+                c.w.wall_ms,
+                human(static_cast<double>(c.w.meter.total())).c_str(),
+                static_cast<unsigned long long>(c.w.commits));
+    worlds_ok &= c.w.ok;
     rep.golden(std::string("stream_scale/") + c.key,
                golden_digest()
-                   .add(c.streaming.meter)
-                   .add(c.streaming.commits)
-                   .add(c.streaming.cloud_hash)
+                   .add(c.w.meter)
+                   .add(c.w.commits)
+                   .add(c.w.cloud_hash)
                    .value());
   }
-  rep.checks.check("engine identity legacy==streaming", engine_ok);
+  rep.checks.check("engine worlds ran", worlds_ok);
 
   // Scale leg (full mode): the file the 64 MiB cap used to forbid.
   scale_run sc;
@@ -354,7 +325,7 @@ void stream_scale_report(report& rep) {
                 sc.converged ? "yes" : "NO");
   }
 
-  const bool passed = kernel_ok && engine_ok && scale_ok;
+  const bool passed = kernel_ok && worlds_ok && scale_ok;
 
   json_writer& j = rep.json;
   j.field("bench", "stream_scale").field("small", small);
@@ -362,12 +333,14 @@ void stream_scale_report(report& rep) {
       .field("base_bytes", kernel_bytes)
       .field("identical", kernel_ok)
       .end();
-  j.object("engine_identity");
-  for (const identity_case& c : cases) {
-    j.object(c.key);
-    json_world(j, "legacy", c.legacy);
-    json_world(j, "streaming", c.streaming);
-    j.field("identical", c.identical).end();
+  j.object("engine_worlds");
+  for (const world_case& c : cases) {
+    j.object(c.key)
+        .field("wall_ms", c.w.wall_ms)
+        .field("total_traffic", c.w.meter.total())
+        .field("commits", c.w.commits)
+        .field("peak_store_bytes", c.w.peak_store_bytes)
+        .end();
   }
   j.end();
   if (!small) {

@@ -124,12 +124,6 @@ class content_memo {
     return std::nullopt;
   }
 
-  void store(byte_view content, std::uint64_t salt, Value value) {
-    const key k{content_hash64(content), content.size(), salt};
-    std::lock_guard<std::mutex> lock(mu_);
-    store_locked(k, std::move(value));
-  }
-
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return lru_.size();
@@ -228,13 +222,6 @@ class content_cache {
     return sizes_.get_or_compute_keyed(key_hash, length,
                                        static_cast<std::uint64_t>(level),
                                        std::forward<Fn>(compute));
-  }
-
-  std::optional<std::uint64_t> find_size(byte_view content, int level) {
-    return sizes_.find(content, static_cast<std::uint64_t>(level));
-  }
-  void store_size(byte_view content, int level, std::uint64_t size) {
-    sizes_.store(content, static_cast<std::uint64_t>(level), size);
   }
 
   std::size_t size() const { return sizes_.size(); }

@@ -6,6 +6,7 @@
 // API must enforce its own contract.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -47,6 +48,13 @@ struct crash_case {
   bool resume;
   int skip;  ///< skip earlier opportunities at the site (mid-chunk progress)
 };
+
+/// gtest prints a parameter into the ctest name; without this it would dump
+/// the struct's raw bytes, padding included, so the names were not stable.
+/// The site and resume flag are already in the name (case_name).
+void PrintTo(const crash_case& c, std::ostream* os) {
+  *os << "skip " << c.skip;
+}
 
 std::string case_name(const ::testing::TestParamInfo<crash_case>& info) {
   std::string name = to_string(info.param.site);

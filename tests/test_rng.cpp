@@ -112,6 +112,25 @@ TEST(RandomBytes, OddSizes) {
   }
 }
 
+TEST(RandomBytes, LittleEndianWordsIncludingTail) {
+  // Every size from one byte to two words plus one: the bytes are successive
+  // next() values in little-endian order, a partial tail takes the low bytes
+  // of one more draw, and exactly ceil(n / 8) draws are consumed.
+  for (std::size_t n = 1; n <= 17; ++n) {
+    rng a(17 + n), b(17 + n);
+    const byte_buffer got = random_bytes(a, n);
+    byte_buffer want;
+    while (want.size() < n) {
+      const std::uint64_t v = b.next();
+      for (int k = 0; k < 8 && want.size() < n; ++k) {
+        want.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
+      }
+    }
+    EXPECT_EQ(got, want) << "n=" << n;
+    EXPECT_EQ(a.next(), b.next()) << "n=" << n;
+  }
+}
+
 TEST(RandomText, LooksLikeWords) {
   rng r(17);
   const byte_buffer t = random_text(r, 500);
