@@ -110,9 +110,9 @@ namespace cloudsync::bench {
 
 /// Peak-store budget of the scale grid. The last run that still had the
 /// flat per-layer-copy mode peaked at 16,975,126,037 B of store memory on
-/// this grid (BENCH_fleet.json, scale_grid.flat) and required the CoW store
-/// to cut that at least 5x; with the flat leg gone the same bar is a fixed
-/// budget of that peak / 5.
+/// this grid (recorded in EXPERIMENTS.md, "Fleet memory at scale") and
+/// required the CoW store to cut that at least 5x; with the flat leg gone
+/// the same bar is a fixed budget of that peak / 5.
 constexpr std::uint64_t kScalePeakBudget = 16'975'126'037ull / 5;
 
 void fleet_scale_report(report& rep) {

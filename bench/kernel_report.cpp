@@ -1,7 +1,9 @@
 // Before/after harness for the byte-kernel layer: times every content
 // kernel (hashing, chunking, checksums, compression estimate) against an
 // embedded copy of the pre-optimization scalar implementation, checks the
-// outputs are bit-identical, and measures what the fused single-pass
+// outputs are bit-identical, times the LZSS stream sizer against the flat
+// compressor at each PC upload level (exact frame size), records which
+// SHA-256 kernel ran, and measures what the fused single-pass
 // pipeline and the flat dedup shard buy on top. Also times the fleet replay
 // at the old (250) and new (2500) per-service file caps and asserts the
 // replay is byte-identical across thread counts.
@@ -10,6 +12,7 @@
 // status is the identity verdict: any kernel or replay divergence fails the
 // run (CI gates on it); throughput numbers are recorded but never gate,
 // since they depend on the host.
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -21,6 +24,7 @@
 #include "pipeline/byte_pipeline.hpp"
 #include "util/adler32.hpp"
 #include "util/crc32.hpp"
+#include "util/sha256_kernels.hpp"
 #include "report.hpp"
 #include "util/string_key.hpp"
 
@@ -346,7 +350,7 @@ double throughput_mb_s(std::uint64_t bytes_per_call, double min_ms, Fn&& fn) {
 }
 
 struct kernel_row {
-  const char* name;
+  std::string name;
   double ref_mb_s = 0;
   double opt_mb_s = 0;
   bool identical = true;
@@ -538,6 +542,48 @@ void kernel_report(report& rep) {
   const double agg_opt = rows.size() * static_cast<double>(corpus_bytes) /
                          opt_time;
 
+  // Stream sizer at each distinct PC upload level, against the flat
+  // compressor whose frame size it must reproduce. Fed in 64 KiB + 1 windows
+  // so every buffer slides the sizer's window at an odd offset. Not part of
+  // the aggregate: the reference is a different function, not an older copy.
+  std::vector<int> levels;
+  for (const service_profile& p : all_services()) {
+    const int lvl =
+        p.method(access_method::pc_client).upload_compression_level;
+    if (lvl > 0 && std::find(levels.begin(), levels.end(), lvl) ==
+                       levels.end()) {
+      levels.push_back(lvl);
+    }
+  }
+  const auto stream_size = [](byte_view b, int level) {
+    constexpr std::size_t kFeed = 64 * KiB + 1;
+    lzss_stream_sizer sizer(b.size(), {.level = level});
+    for (std::size_t off = 0; off < b.size(); off += kFeed) {
+      sizer.feed(b.subspan(off, std::min(kFeed, b.size() - off)));
+    }
+    return sizer.finish();
+  };
+  for (const int level : levels) {
+    kernel_row row{strfmt("stream_sizer_l%d", level)};
+    for (const byte_buffer& b : corpus) {
+      row.identical &= stream_size(b, level) ==
+                       lzss_compress(b, {.level = level}).size();
+    }
+    row.ref_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
+      std::uint64_t s = 0;
+      for (const byte_buffer& b : corpus) {
+        s += lzss_compress(b, {.level = level}).size();
+      }
+      g_sink = g_sink + s;
+    });
+    row.opt_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
+      std::uint64_t s = 0;
+      for (const byte_buffer& b : corpus) s += stream_size(b, level);
+      g_sink = g_sink + s;
+    });
+    rows.push_back(row);
+  }
+
   // Fused pipeline vs the same kernels run as separate passes (both sides
   // use the optimized kernels; this isolates the single-pass win).
   content_request full;
@@ -665,6 +711,7 @@ void kernel_report(report& rep) {
   table.row({"aggregate", strfmt("%.1f", agg_ref), strfmt("%.1f", agg_opt),
              strfmt("%.2fx", agg_opt / agg_ref), "-"});
   std::printf("%s\n", table.str().c_str());
+  std::printf("sha256 kernel: %s\n", detail::sha256_kernel_name());
   std::printf("fused pipeline: %.1f MB/s vs %.1f MB/s separate passes "
               "(%.2fx), outputs identical: %s\n",
               fused_mb_s, separate_mb_s, fused_mb_s / separate_mb_s,
@@ -687,6 +734,7 @@ void kernel_report(report& rep) {
 
   json_writer& j = rep.json;
   j.field("bench", "kernels").field("corpus_bytes", corpus_bytes);
+  j.field("sha256_kernel", detail::sha256_kernel_name());
   j.object("kernels");
   for (const kernel_row& r : rows) {
     j.object(r.name)

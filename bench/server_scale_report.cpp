@@ -28,10 +28,10 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel_runner.hpp"
 #include "report.hpp"
 #include "server/session.hpp"
 #include "server/sync_server.hpp"
+#include "util/parallel_runner.hpp"
 #include "util/stats.hpp"
 
 using namespace cloudsync;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "client/sync_engine.hpp"
+#include "util/parallel_runner.hpp"
 
 namespace cloudsync {
 
@@ -231,10 +232,18 @@ class cdc_dedup_protocol final : public sync_protocol {
     const dedup_result res = env.cl->dedup().analyze(env.user, content);
     plan.metadata_up += res.fingerprints_sent * kFingerprintWireBytes;
     plan.metadata_down += res.fingerprints_sent * kFingerprintAnswerBytes;
+    // Each new chunk ships compressed on its own: its wire size is a pure
+    // function of an immutable range, so the sizes fan out across cores and
+    // are summed in chunk order.
     std::uint64_t payload = 0;
-    for (const chunk_ref& c : res.new_chunks) {
-      payload += shipped_content_size(env, content.substr(c.offset, c.size),
-                                      mp.upload_compression_level);
+    for (const std::uint64_t size : fan_out_map<std::uint64_t>(
+             res.new_chunks.size(), res.new_bytes, [&](std::size_t i) {
+               const chunk_ref& c = res.new_chunks[i];
+               return shipped_content_size(
+                   env, content.substr(c.offset, c.size),
+                   mp.upload_compression_level);
+             })) {
+      payload += size;
     }
     plan.payload_up = payload;
     plan.metadata_up += static_cast<std::uint64_t>(

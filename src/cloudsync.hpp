@@ -32,7 +32,6 @@
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
 #include "core/invariants.hpp"
-#include "core/parallel_runner.hpp"
 #include "core/service_probe.hpp"
 #include "core/tue.hpp"
 #include "dedup/dedup_engine.hpp"
@@ -51,6 +50,7 @@
 #include "trace/serialize.hpp"
 #include "util/content_cache.hpp"
 #include "util/md5.hpp"
+#include "util/parallel_runner.hpp"
 #include "util/rng.hpp"
 #include "util/sha1.hpp"
 #include "util/sha256.hpp"

@@ -340,15 +340,41 @@ double estimate_compression_ratio(byte_view input, std::size_t sample_budget) {
 }
 
 namespace {
-/// History ring of the stream sizer. Must be a power of two and exceed
-/// kWindowSize + kMaxMatch by enough staging room that chain entries are
-/// always recycled strictly outside the match window (see insert/find).
-constexpr std::size_t kSizerRingBytes = 128 * 1024;
-constexpr std::uint64_t kSizerRingMask = kSizerRingBytes - 1;
-/// Feed bytes are staged into the ring at most this many at a time, so the
-/// live span (64 KiB history + lookahead + staging) always fits the ring.
-constexpr std::size_t kSizerStageBytes = 32 * 1024;
-constexpr std::uint64_t kNoPos = ~0ULL;
+/// Linear history window of the stream sizer: the 64 KiB match window, the
+/// lookahead, and room for new input. Inputs no longer than this never slide.
+constexpr std::size_t kSizerWindowBytes = 4 * kWindowSize;
+/// Chain links are kept for the last kWindowSize positions, indexed by
+/// position mod kWindowSize. A chain only visits candidates at most
+/// kWindowSize behind the position being matched, and a candidate's slot is
+/// reused only when the position kWindowSize after it is inserted — never
+/// before that position has been matched.
+constexpr std::uint64_t kSizerPrevMask = kWindowSize - 1;
+/// drain() holds a position back until this much input past it is fed: a
+/// match reads up to kMaxMatch bytes, and inserting the positions it covers
+/// hashes three bytes past its end.
+constexpr std::size_t kSizerLookahead = kMaxMatch + 3;
+
+/// Length of the common prefix of a and b, at most max_len: eight bytes a
+/// step (the first differing byte is the lowest set byte of the XOR on a
+/// little-endian load), then byte by byte.
+inline std::size_t common_prefix(const std::uint8_t* a, const std::uint8_t* b,
+                                 std::size_t max_len) {
+  std::size_t len = 0;
+#if (defined(__GNUC__) || defined(__clang__)) && \
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  while (len + 8 <= max_len) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+      return len + static_cast<std::size_t>(__builtin_ctzll(diff)) / 8;
+    }
+    len += 8;
+  }
+#endif
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
+}
 
 std::uint64_t stored_frame_size(std::uint64_t size) {
   byte_buffer varint;
@@ -367,62 +393,61 @@ lzss_stream_sizer::lzss_stream_sizer(std::uint64_t total_size,
   nice_len_ = cfg.nice_len;
   accept_len_ = cfg.accept_len;
   lazy_ = cfg.lazy;
-  ring_.resize(kSizerRingBytes);
-  head_.assign(kHashSize, kNoPos);
-  prev_.resize(kSizerRingBytes);
+  win_.resize(static_cast<std::size_t>(
+      std::min<std::uint64_t>(total_, kSizerWindowBytes)));
+  head_.assign(kHashSize, 0);
+  prev_.assign(static_cast<std::size_t>(
+                   std::min<std::uint64_t>(total_, kWindowSize)),
+               0);
   out_ = stored_frame_size(total_) - total_ - 4;  // shared frame header
 }
 
-std::uint8_t lzss_stream_sizer::at(std::uint64_t pos) const {
-  return ring_[pos & kSizerRingMask];
-}
-
-std::uint32_t lzss_stream_sizer::hash_at(std::uint64_t pos) const {
-  // hash4 reads a little-endian uint32; assemble it explicitly because the
-  // four bytes may wrap around the ring.
-  const std::uint32_t v = static_cast<std::uint32_t>(at(pos)) |
-                          static_cast<std::uint32_t>(at(pos + 1)) << 8 |
-                          static_cast<std::uint32_t>(at(pos + 2)) << 16 |
-                          static_cast<std::uint32_t>(at(pos + 3)) << 24;
-  return (v * 2654435761u) >> (32 - kHashBits);
-}
-
-lzss_stream_sizer::match lzss_stream_sizer::find(std::uint64_t pos) const {
+// find, insert and count_token run once or more per input position; drain
+// keeps pace with lzss_compress only with them inlined into its loop.
+[[gnu::always_inline]] inline lzss_stream_sizer::match
+lzss_stream_sizer::find(std::uint64_t pos, std::uint32_t hash) const {
   match best;
   if (pos + kMinMatch > total_) return best;
   const std::uint64_t limit = pos >= kWindowSize ? pos - kWindowSize : 0;
   const std::size_t max_len =
       static_cast<std::size_t>(std::min<std::uint64_t>(kMaxMatch,
                                                        total_ - pos));
-  std::uint64_t cand = head_[hash_at(pos)];
+  const std::uint8_t* p = at(pos);
+  std::uint32_t link = head_[hash];
   std::size_t chain = max_chain_;
-  while (cand != kNoPos && cand >= limit && chain-- > 0 &&
-         best.length < max_len) {
-    if (best.length == 0 || at(cand + best.length) == at(pos + best.length)) {
-      std::size_t len = 0;
-      while (len < max_len && at(cand + len) == at(pos + len)) {
-        ++len;
-      }
+  while (link != 0 && chain-- > 0 && best.length < max_len) {
+    const std::uint64_t cand = base_ + link - 1;
+    if (cand < limit) break;
+    const std::uint8_t* q = at(cand);
+    // Quick reject: check the byte just past the current best.
+    if (best.length == 0 || q[best.length] == p[best.length]) {
+      const std::size_t len = common_prefix(q, p, max_len);
       if (len > best.length) {
         best.length = len;
         best.distance = static_cast<std::size_t>(pos - cand);
         if (len >= nice_len_) break;
       }
     }
-    cand = prev_[cand & kSizerRingMask];
+    link = prev_[cand & kSizerPrevMask];
   }
   if (best.length < accept_len_) best = {};
   return best;
 }
 
-void lzss_stream_sizer::insert(std::uint64_t pos) {
+[[gnu::always_inline]] inline void lzss_stream_sizer::insert(
+    std::uint64_t pos, std::uint32_t hash) {
   if (pos + 4 > total_) return;
-  const std::uint32_t h = hash_at(pos);
-  prev_[pos & kSizerRingMask] = head_[h];
-  head_[h] = pos;
+  prev_[pos & kSizerPrevMask] = head_[hash];
+  head_[hash] = static_cast<std::uint32_t>(pos - base_ + 1);
 }
 
-void lzss_stream_sizer::count_token(bool is_match) {
+void lzss_stream_sizer::insert(std::uint64_t pos) {
+  if (pos + 4 > total_) return;
+  insert(pos, hash4(at(pos)));
+}
+
+[[gnu::always_inline]] inline void lzss_stream_sizer::count_token(
+    bool is_match) {
   if (bit_ == 8) {
     ++out_;  // flag byte
     bit_ = 0;
@@ -432,47 +457,85 @@ void lzss_stream_sizer::count_token(bool is_match) {
 }
 
 void lzss_stream_sizer::drain(bool final_window) {
-  // Matching at `pos` may read ahead up to kMaxMatch bytes (the lazy probe
-  // one further) and inserting covered positions hashes up to three bytes
-  // past the match, so hold positions back until that whole horizon is fed;
-  // the remainder resolves at finish(), where the true end-of-input match
-  // limits apply.
+  // The same token decisions as lzss_compress, position by position. Each
+  // position waits for kSizerLookahead bytes past it; the remainder resolves
+  // at finish(), where the true end-of-input match limits apply. Each
+  // position is hashed once, and a deferred lazy match is reused rather than
+  // searched again (nothing is inserted in between, so it is unchanged).
   while (pos_ < total_) {
-    if (!final_window && pos_ + kMaxMatch + 3 > fed_) return;
-    match cur = find(pos_);
-    if (cur.length >= kMinMatch) {
-      if (lazy_ && pos_ + 1 < total_) {
-        insert(pos_);
-        const match next = find(pos_ + 1);
-        if (next.length > cur.length + 1) {
-          count_token(false);
-          ++pos_;
-          continue;
-        }
-      } else {
-        insert(pos_);
-      }
-      count_token(true);
-      for (std::size_t i = 1; i < cur.length; ++i) insert(pos_ + i);
-      pos_ += cur.length;
-    } else {
-      insert(pos_);
+    if (!final_window && pos_ + kSizerLookahead > fed_) return;
+    std::uint32_t hash = 0;
+    match cur;
+    if (deferred_) {
+      deferred_ = false;
+      cur = deferred_match_;
+      hash = deferred_hash_;
+    } else if (pos_ + kMinMatch <= total_) {
+      hash = hash4(at(pos_));
+      cur = find(pos_, hash);
+    }
+    if (cur.length < kMinMatch) {
+      insert(pos_, hash);
       count_token(false);
       ++pos_;
+      continue;
     }
+    insert(pos_, hash);
+    std::size_t covered = 1;  // positions of the match already inserted
+    if (lazy_ && pos_ + 1 < total_) {
+      const std::uint64_t next_pos = pos_ + 1;
+      std::uint32_t next_hash = 0;
+      match next;
+      if (next_pos + kMinMatch <= total_) {
+        next_hash = hash4(at(next_pos));
+        next = find(next_pos, next_hash);
+      }
+      if (next.length > cur.length + 1) {
+        // The deferred match is better: emit a literal and continue from
+        // pos+1, where `next` is the match.
+        count_token(false);
+        ++pos_;
+        deferred_ = true;
+        deferred_match_ = next;
+        deferred_hash_ = next_hash;
+        continue;
+      }
+      insert(next_pos, next_hash);
+      covered = 2;
+    }
+    count_token(true);
+    // Register the covered positions so later matches can reference them.
+    for (std::size_t i = covered; i < cur.length; ++i) insert(pos_ + i);
+    pos_ += cur.length;
   }
 }
 
+void lzss_stream_sizer::slide() {
+  // Keep the match window behind the scan position. Nothing older can be a
+  // candidate again, so links into it are dropped as the rest are rebased.
+  const std::uint64_t keep = pos_ > kWindowSize ? pos_ - kWindowSize : 0;
+  const auto shift = static_cast<std::uint32_t>(keep - base_);
+  std::memmove(win_.data(), win_.data() + shift,
+               static_cast<std::size_t>(fed_ - keep));
+  base_ = keep;
+  const auto rebase = [shift](std::vector<std::uint32_t>& links) {
+    for (std::uint32_t& link : links) link = link > shift ? link - shift : 0;
+  };
+  rebase(head_);
+  rebase(prev_);
+}
+
 void lzss_stream_sizer::feed(byte_view window) {
-  if (stored_only_) {
+  // Past the declared size nothing is sized; finish() reports the misuse.
+  if (stored_only_ || window.size() > total_ - std::min(fed_, total_)) {
     fed_ += window.size();
     return;
   }
   while (!window.empty()) {
-    const std::size_t take = std::min(window.size(), kSizerStageBytes);
-    for (std::size_t i = 0; i < take; ++i) {
-      ring_[(fed_ + i) & kSizerRingMask] = window[i];
-    }
+    if (fed_ - base_ == win_.size()) slide();
+    const auto used = static_cast<std::size_t>(fed_ - base_);
+    const std::size_t take = std::min(window.size(), win_.size() - used);
+    std::memcpy(win_.data() + used, window.data(), take);
     fed_ += take;
     window = window.subspan(take);
     drain(/*final_window=*/false);

@@ -53,8 +53,9 @@ double estimate_ratio_of_windows(const std::vector<byte_view>& windows);
 
 /// Exact streamed frame sizing: feed the input in windows of any size and
 /// finish() returns precisely lzss_compress(concatenation, params).size() —
-/// including the stored-frame fallback — while holding O(1) state (a 128 KiB
-/// history ring plus hash chains, ~1.4 MB) instead of the input. This is how
+/// including the stored-frame fallback — while holding O(1) state instead of
+/// the input: a linear history window of min(input, 256 KiB) that slides
+/// when full, and 32-bit hash chains (~0.6 MB in all). This is how
 /// multi-GB upload payloads are priced without ever being flat in memory.
 class lzss_stream_sizer {
  public:
@@ -72,11 +73,14 @@ class lzss_stream_sizer {
     std::size_t distance = 0;
   };
 
-  std::uint8_t at(std::uint64_t pos) const;
-  std::uint32_t hash_at(std::uint64_t pos) const;
-  match find(std::uint64_t pos) const;
+  const std::uint8_t* at(std::uint64_t pos) const {
+    return win_.data() + (pos - base_);
+  }
+  match find(std::uint64_t pos, std::uint32_t hash) const;
+  void insert(std::uint64_t pos, std::uint32_t hash);
   void insert(std::uint64_t pos);
   void drain(bool final_window);
+  void slide();
   void count_token(bool is_match);
 
   std::uint64_t total_;
@@ -86,13 +90,22 @@ class lzss_stream_sizer {
   std::size_t accept_len_ = 0;
   bool lazy_ = false;
 
-  byte_buffer ring_;                 ///< history ring, kSizerRingBytes
-  std::vector<std::uint64_t> head_;  ///< hash -> most recent absolute pos
-  std::vector<std::uint64_t> prev_;  ///< chain links, ring-indexed
+  /// Input bytes [base_, fed_), at win_[0 .. fed_ - base_).
+  byte_buffer win_;
+  /// Chain links are positions relative to base_, plus one (0 = no link);
+  /// slide() rebases them, so inputs of any size fit 32 bits.
+  std::vector<std::uint32_t> head_;  ///< hash -> most recent position
+  std::vector<std::uint32_t> prev_;  ///< position mod 64 KiB -> older one
+  std::uint64_t base_ = 0;           ///< absolute position of win_[0]
   std::uint64_t fed_ = 0;            ///< absolute write position
   std::uint64_t pos_ = 0;            ///< absolute scan position
   std::uint64_t out_ = 0;            ///< counted frame bytes so far
   unsigned bit_ = 8;                 ///< token slot within the open flag byte
+  /// Lazy matching found a better match at pos_ + 1 and deferred to it:
+  /// this is find(pos_) already, with its hash.
+  bool deferred_ = false;
+  match deferred_match_;
+  std::uint32_t deferred_hash_ = 0;
   bool finished_ = false;
 };
 

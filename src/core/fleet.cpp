@@ -5,9 +5,9 @@
 #include <map>
 #include <unordered_map>
 
-#include "core/parallel_runner.hpp"
 #include "store/content_ref.hpp"
 #include "util/content_cache.hpp"
+#include "util/parallel_runner.hpp"
 
 namespace cloudsync {
 

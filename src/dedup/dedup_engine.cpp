@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "pipeline/byte_pipeline.hpp"
+#include "util/parallel_runner.hpp"
 
 namespace cloudsync {
 
@@ -176,25 +177,19 @@ dedup_result dedup_engine::analyze(user_id user,
     case dedup_granularity::fixed_block: {
       const auto chunks = chunk_layout(data);
       res.fingerprints_sent = chunks.size();
-      if (memo_ == nullptr) {
-        const auto fps = chunk_digests(data, chunks);
-        for (std::size_t i = 0; i < chunks.size(); ++i) {
-          if (index_.contains(scope_for(user), fps[i])) {
-            res.duplicate_bytes += chunks[i].size;
-          } else {
-            res.new_bytes += chunks[i].size;
-            res.new_chunks.push_back(chunks[i]);
-          }
-        }
-      } else {
-        for (const chunk_ref& c : chunks) {
-          if (index_.contains(scope_for(user),
-                              fp_range(data, c.offset, c.size))) {
-            res.duplicate_bytes += c.size;
-          } else {
-            res.new_bytes += c.size;
-            res.new_chunks.push_back(c);
-          }
+      // Fingerprints are pure functions of immutable ranges, so they fan out
+      // across cores (Dropbox's 4 MB blocks are hashed independently); the
+      // index is then probed serially, in chunk order.
+      const auto fps = fan_out_map<fingerprint>(
+          chunks.size(), data.size(), [&](std::size_t i) {
+            return fp_range(data, chunks[i].offset, chunks[i].size);
+          });
+      for (std::size_t i = 0; i < chunks.size(); ++i) {
+        if (index_.contains(scope_for(user), fps[i])) {
+          res.duplicate_bytes += chunks[i].size;
+        } else {
+          res.new_bytes += chunks[i].size;
+          res.new_chunks.push_back(chunks[i]);
         }
       }
       res.whole_file_duplicate = !data.empty() && res.new_bytes == 0;

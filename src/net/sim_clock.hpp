@@ -6,10 +6,11 @@
 //
 // Threading contract: one sim_clock — together with the cloud, filesystems,
 // and clients attached to it — must only ever be driven from a single
-// thread. Scale-out happens one level up: core/parallel_runner fans whole
+// thread. Scale-out happens one level up: util/parallel_runner fans whole
 // independent experiment environments (each owning its own clock) across
-// worker threads. Parallelism is across experiments, never within one
-// (see docs/PERFORMANCE.md).
+// worker threads. Simulation state never crosses threads; pure kernels over
+// immutable content_ref ranges may fan out inside one experiment (see
+// docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,15 @@
 
 #include <cstring>
 
+#include "util/sha256_kernels.hpp"
+
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#include <cpuid.h>
+#include <immintrin.h>
+#define CLOUDSYNC_SHA256_X86 1
+#endif
+
 namespace cloudsync {
 
 namespace {
@@ -61,13 +70,16 @@ sha256_hasher::sha256_hasher() {
   state_[7] = 0x5be0cd19u;
 }
 
+namespace detail {
+
 // Compression rounds unrolled via register rotation, with the message
 // schedule kept as a rolling 16-word ring instead of a 64-word array. Every
 // operation is the same mod-2^32 arithmetic as the FIPS reference loop, only
 // regrouped, so digests are bit-identical.
-void sha256_hasher::process_blocks(const std::uint8_t* p, std::size_t blocks) {
-  std::uint32_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
-  std::uint32_t s4 = state_[4], s5 = state_[5], s6 = state_[6], s7 = state_[7];
+void sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t* p,
+                            std::size_t blocks) {
+  std::uint32_t s0 = state[0], s1 = state[1], s2 = state[2], s3 = state[3];
+  std::uint32_t s4 = state[4], s5 = state[5], s6 = state[6], s7 = state[7];
 
   while (blocks-- > 0) {
     std::uint32_t w[16];
@@ -134,14 +146,105 @@ void sha256_hasher::process_blocks(const std::uint8_t* p, std::size_t blocks) {
     s7 += h;
   }
 
-  state_[0] = s0;
-  state_[1] = s1;
-  state_[2] = s2;
-  state_[3] = s3;
-  state_[4] = s4;
-  state_[5] = s5;
-  state_[6] = s6;
-  state_[7] = s7;
+  state[0] = s0;
+  state[1] = s1;
+  state[2] = s2;
+  state[3] = s3;
+  state[4] = s4;
+  state[5] = s5;
+  state[6] = s6;
+  state[7] = s7;
+}
+
+#ifdef CLOUDSYNC_SHA256_X86
+namespace {
+
+bool cpu_has_shani() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0) return false;
+  const bool ssse3 = (c & (1u << 9)) != 0;
+  const bool sse41 = (c & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+  return ssse3 && sse41 && (b & (1u << 29)) != 0;
+}
+
+// One block is 16 groups of four rounds. w0..w3 hold the schedule words of
+// the next four groups: the block's own words first, then each new group's
+// from sha256msg1/msg2 over the four before it. sha256rnds2 runs two rounds
+// on the state held as the ABEF and CDGH halves the instructions expect.
+__attribute__((target("sha,sse4.1,ssse3"))) void sha256_blocks_shani(
+    std::uint32_t state[8], const std::uint8_t* p, std::size_t blocks) {
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+  const auto* in = reinterpret_cast<const __m128i*>(p);
+
+  for (; blocks > 0; --blocks, in += 4) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in), bswap);
+    __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), bswap);
+    __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), bswap);
+    __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), bswap);
+    for (int i = 0; i < 16; ++i) {
+      const __m128i k =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * i));
+      const __m128i wk = _mm_add_epi32(w0, k);
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      __m128i next = _mm_sha256msg1_epu32(w0, w1);
+      next = _mm_add_epi32(next, _mm_alignr_epi8(w3, w2, 4));
+      next = _mm_sha256msg2_epu32(next, w3);
+      w0 = w1;
+      w1 = w2;
+      w2 = w3;
+      w3 = next;
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+}  // namespace
+#endif
+
+sha256_block_fn sha256_shani_kernel() {
+#ifdef CLOUDSYNC_SHA256_X86
+  static const bool available = cpu_has_shani();
+  return available ? &sha256_blocks_shani : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+sha256_block_fn sha256_active_kernel() {
+  static const sha256_block_fn kernel = [] {
+    const sha256_block_fn shani = sha256_shani_kernel();
+    return shani != nullptr ? shani : &sha256_blocks_portable;
+  }();
+  return kernel;
+}
+
+const char* sha256_kernel_name() {
+  return sha256_active_kernel() == &sha256_blocks_portable ? "portable"
+                                                           : "sha_ni";
+}
+
+}  // namespace detail
+
+void sha256_hasher::process_blocks(const std::uint8_t* p, std::size_t blocks) {
+  detail::sha256_active_kernel()(state_, p, blocks);
 }
 
 sha256_hasher& sha256_hasher::update(byte_view data) {

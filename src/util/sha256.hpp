@@ -1,7 +1,9 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
 // Primary fingerprint for the dedup index (collision-resistant enough that
-// the engine treats fingerprint equality as content equality).
+// the engine treats fingerprint equality as content equality). Whole blocks
+// go through the x86 SHA extensions when the CPU has them, else a portable
+// kernel; the choice is made once by cpuid (util/sha256_kernels.hpp).
 #pragma once
 
 #include <cstdint>

@@ -12,8 +12,8 @@
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
 #include "core/invariants.hpp"
-#include "core/parallel_runner.hpp"
 #include "meter_diff.hpp"
+#include "util/parallel_runner.hpp"
 
 namespace cloudsync {
 namespace {

@@ -1,11 +1,15 @@
 // Known-answer and property tests for the from-scratch hash primitives.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "util/crc32.hpp"
 #include "util/md5.hpp"
 #include "util/rng.hpp"
 #include "util/sha1.hpp"
 #include "util/sha256.hpp"
+#include "util/sha256_kernels.hpp"
 
 namespace cloudsync {
 namespace {
@@ -69,6 +73,124 @@ TEST(Sha256, KnownAnswers) {
                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
           .hex(),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+// --- SHA-256 block kernels: portable and SHA-NI ------------------------------
+
+/// FIPS 180-4 padding around one block kernel: the digest sha256() gives when
+/// that kernel is the one chosen.
+sha256_digest sha256_with(detail::sha256_block_fn kernel, byte_view data) {
+  std::uint32_t st[8] = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+                         0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+  const std::size_t whole = data.size() / 64;
+  kernel(st, data.data(), whole);
+  std::uint8_t tail[128] = {};
+  const std::size_t rest = data.size() - whole * 64;
+  if (rest > 0) std::memcpy(tail, data.data() + whole * 64, rest);
+  tail[rest] = 0x80;
+  const std::size_t blocks = rest < 56 ? 1 : 2;
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 0; i < 8; ++i) {
+    tail[blocks * 64 - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  kernel(st, tail, blocks);
+  sha256_digest out;
+  for (int i = 0; i < 32; ++i) {
+    out.bytes[i] = static_cast<std::uint8_t>(st[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+/// Parameter: the kernel's name ("portable" or "sha_ni").
+class Sha256Kernels : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == "portable") {
+      kernel_ = &detail::sha256_blocks_portable;
+      return;
+    }
+    kernel_ = detail::sha256_shani_kernel();
+    if (kernel_ == nullptr) {
+      GTEST_SKIP() << "this CPU lacks the x86 SHA extensions (cpuid leaf 7 "
+                      "EBX bit 29 with SSSE3 and SSE4.1); sha256() runs the "
+                      "portable kernel";
+    }
+  }
+  detail::sha256_block_fn kernel_ = nullptr;
+};
+
+TEST_P(Sha256Kernels, Fips180Vectors) {
+  const std::string million(1'000'000, 'a');
+  const struct {
+    std::string input;
+    const char* digest;
+  } vectors[] = {
+      {"",
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {million,
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const auto& v : vectors) {
+    EXPECT_EQ(sha256_with(kernel_, as_bytes(v.input)).hex(), v.digest)
+        << v.input.size() << " bytes";
+    EXPECT_EQ(sha256(as_bytes(v.input)).hex(), v.digest)
+        << v.input.size() << " bytes";
+  }
+}
+
+TEST_P(Sha256Kernels, PaddingBoundaryLengths) {
+  rng r(11);
+  for (const std::size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u}) {
+    const byte_buffer data = random_bytes(r, len);
+    const sha256_digest want = sha256_with(&detail::sha256_blocks_portable,
+                                           data);
+    EXPECT_EQ(sha256_with(kernel_, data), want) << len;
+    EXPECT_EQ(sha256(data), want) << len;
+  }
+}
+
+/// Random lengths fed through sha256_hasher::update in random pieces (the
+/// kernel sha256() chose, over the buffered and whole-block paths) against
+/// this kernel and the portable one over the whole message.
+TEST_P(Sha256Kernels, SeededDifferentialThroughUpdate) {
+  rng r(12);
+  for (int iter = 0; iter < 300; ++iter) {
+    const auto len = static_cast<std::size_t>(r.uniform_range(0, 5000));
+    const byte_buffer data = random_bytes(r, len);
+    sha256_hasher h;
+    std::size_t off = 0;
+    while (off < len) {
+      const auto piece = static_cast<std::size_t>(r.uniform_range(0, len - off));
+      h.update(byte_view{data}.subspan(off, piece));
+      off += piece;
+    }
+    const sha256_digest got = h.finish();
+    EXPECT_EQ(got, sha256_with(&detail::sha256_blocks_portable, data))
+        << "len " << len;
+    EXPECT_EQ(got, sha256_with(kernel_, data)) << "len " << len;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha256Kernels,
+                         ::testing::Values("portable", "sha_ni"),
+                         [](const auto& info) { return info.param; });
+
+TEST(Sha256KernelChoice, ActiveKernelIsNamed) {
+  const std::string name = detail::sha256_kernel_name();
+  if (detail::sha256_shani_kernel() != nullptr) {
+    EXPECT_EQ(name, "sha_ni");
+    EXPECT_EQ(detail::sha256_active_kernel(), detail::sha256_shani_kernel());
+  } else {
+    EXPECT_EQ(name, "portable");
+    EXPECT_EQ(detail::sha256_active_kernel(), &detail::sha256_blocks_portable);
+  }
 }
 
 // --- CRC-32 ------------------------------------------------------------------

@@ -193,11 +193,14 @@ TEST_P(StreamSizer, MatchesCompressorAcrossShapesAndWindows) {
       {"noise", random_bytes(r, 150'000)},
       {"rle", byte_buffer(100'000, std::uint8_t{'x'})},
       {"mixed", synthetic_payload(r, 300'000, 1.8)},
+      // Several times the sizer's 256 KiB window: it slides and rebases its
+      // chain links several times under every feed window.
+      {"long", synthetic_payload(r, 1'000'000, 2.5)},
   };
   for (const auto& s : shapes) {
     const std::size_t expect = lzss_compress(s.data, {.level = level}).size();
-    // Feed windows chosen to cross the sizer's 32 KiB staging and 128 KiB
-    // ring boundaries at awkward offsets.
+    // Feed windows chosen to cross the sizer's 256 KiB window and its
+    // slides at awkward offsets.
     for (const std::size_t win : {1u << 20, 65'537u, 4096u, 977u}) {
       lzss_stream_sizer sizer(s.data.size(), {.level = level});
       for (std::size_t off = 0; off < s.data.size(); off += win) {
@@ -209,8 +212,9 @@ TEST_P(StreamSizer, MatchesCompressorAcrossShapesAndWindows) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Levels, StreamSizer,
-                         ::testing::Values(0, 1, 3, 6, 9));
+// Every level: 4 (Dropbox PC) and 5 (Ubuntu One PC) are the ones the fleet
+// uses, and 5 is where lazy matching starts.
+INSTANTIATE_TEST_SUITE_P(Levels, StreamSizer, ::testing::Range(0, 10));
 
 TEST(StreamSizerErrors, FinishValidatesFedBytes) {
   lzss_stream_sizer sizer(10, {.level = 6});

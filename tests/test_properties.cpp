@@ -2,6 +2,9 @@
 // exercised over parameter grids and seeded random cases.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <ostream>
+
 #include "chunking/rsync.hpp"
 #include "client/defer_policy.hpp"
 #include "compress/lzss.hpp"
@@ -21,6 +24,12 @@ struct payload_case {
   std::size_t size;
   double ratio;
 };
+
+// Names each case by its shape, e.g. "100B_x1.0"; gtest's default prints the
+// struct's raw bytes, and cases that differ only in the ratio share a prefix.
+void PrintTo(const payload_case& c, std::ostream* os) {
+  *os << c.size << "B_x" << std::fixed << std::setprecision(1) << c.ratio;
+}
 
 class LzssPayloadSweep : public ::testing::TestWithParam<payload_case> {};
 

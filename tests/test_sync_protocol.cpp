@@ -4,10 +4,14 @@
 // the experiment harness at different grid thread counts.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "core/experiment.hpp"
-#include "core/parallel_runner.hpp"
 #include "fs/file_ops.hpp"
 #include "meter_diff.hpp"
+#include "util/parallel_runner.hpp"
 
 namespace cloudsync {
 namespace {
@@ -236,6 +240,106 @@ TEST(SyncProtocol, SelectionDeterministicAcrossGridThreads) {
     EXPECT_TRUE(serial[i].meter == parallel[i].meter)
         << i << "\n" << meter_diff(serial[i].meter, parallel[i].meter);
   }
+}
+
+/// Sets CLOUDSYNC_THREADS for one scope and restores the previous value.
+class scoped_threads_env {
+ public:
+  explicit scoped_threads_env(const char* value) {
+    if (const char* old = std::getenv("CLOUDSYNC_THREADS")) old_ = old;
+    setenv("CLOUDSYNC_THREADS", value, 1);
+  }
+  ~scoped_threads_env() {
+    if (old_.empty()) {
+      unsetenv("CLOUDSYNC_THREADS");
+    } else {
+      setenv("CLOUDSYNC_THREADS", old_.c_str(), 1);
+    }
+  }
+
+ private:
+  std::string old_;
+};
+
+TEST(SyncProtocol, DedupPlanIdenticalAtAnyFanOutWidth) {
+  // A Dropbox PC upload spanning several 4 MB blocks fans its fingerprints
+  // and per-block wire sizes out over min(CLOUDSYNC_THREADS, blocks)
+  // threads. Neither the plan nor what the cloud commits may depend on the
+  // width. No content cache, so every width computes every value.
+  rng r(31);
+  const byte_buffer data =
+      synthetic_payload(r, 3 * 4 * MiB + 300 * KiB, 2.0);
+  const content_ref content = content_ref::from_buffer(byte_buffer(data));
+  const service_profile profile = dropbox();
+  ASSERT_EQ(profile.dedup.granularity, dedup_granularity::fixed_block);
+
+  struct outcome {
+    upload_plan plan;
+    dedup_result res;
+    traffic_meter meter;
+    std::uint64_t commits = 0;
+    std::optional<content_ref> stored;
+    bool duplicate_after_commit = false;
+  };
+  const auto run_at = [&](const char* threads) {
+    scoped_threads_env width(threads);
+    outcome o;
+    // The plan itself, with the first block already in the index so the
+    // new-chunk list is a strict subset.
+    cloud cl(cloud_config{profile.dedup});
+    cl.dedup().commit(0, content.substr(0, 4 * MiB));
+    planning_env env;
+    env.profile = &profile;
+    env.cl = &cl;
+    const std::string path = "big";
+    protocol_update up;
+    up.path = &path;
+    up.content = &content;
+    const sync_protocol& proto = select_service_default(env, up);
+    EXPECT_EQ(proto.id(), protocol_id::cdc_dedup);
+    o.res = cl.dedup().analyze(0, content);
+    o.plan = proto.plan(env, up);
+    cl.dedup().commit(0, content);
+    o.duplicate_after_commit = cl.dedup().analyze(0, content).whole_file_duplicate;
+
+    // The same upload end to end: meters and the committed file.
+    experiment_config cfg{profile};
+    cfg.use_content_cache = false;
+    experiment_env world(cfg);
+    world.primary().fs.create("big", content, world.clock().now());
+    world.settle();
+    o.meter = world.primary().client->meter();
+    o.commits = world.primary().client->commit_count();
+    o.stored = world.the_cloud().file_content(0, "big");
+    return o;
+  };
+  const outcome one = run_at("1");
+  const outcome four = run_at("4");
+
+  EXPECT_EQ(one.res.fingerprints_sent, 4u);
+  ASSERT_EQ(one.res.new_chunks.size(), 3u);
+  EXPECT_EQ(one.res.fingerprints_sent, four.res.fingerprints_sent);
+  EXPECT_EQ(one.res.duplicate_bytes, four.res.duplicate_bytes);
+  EXPECT_EQ(one.res.new_bytes, four.res.new_bytes);
+  ASSERT_EQ(one.res.new_chunks.size(), four.res.new_chunks.size());
+  for (std::size_t i = 0; i < one.res.new_chunks.size(); ++i) {
+    EXPECT_EQ(one.res.new_chunks[i].offset, four.res.new_chunks[i].offset);
+    EXPECT_EQ(one.res.new_chunks[i].size, four.res.new_chunks[i].size);
+  }
+  EXPECT_GT(one.plan.payload_up, 0u);
+  EXPECT_EQ(one.plan.payload_up, four.plan.payload_up);
+  EXPECT_EQ(one.plan.metadata_up, four.plan.metadata_up);
+  EXPECT_EQ(one.plan.metadata_down, four.plan.metadata_down);
+  EXPECT_TRUE(one.duplicate_after_commit);
+  EXPECT_TRUE(four.duplicate_after_commit);
+
+  EXPECT_EQ(one.commits, 1u);
+  EXPECT_EQ(one.commits, four.commits);
+  EXPECT_TRUE(one.meter == four.meter) << meter_diff(one.meter, four.meter);
+  ASSERT_TRUE(one.stored.has_value());
+  ASSERT_TRUE(four.stored.has_value());
+  EXPECT_TRUE(*one.stored == content);
+  EXPECT_TRUE(*four.stored == content);
 }
 
 TEST(SyncProtocol, ForcedExperimentShipsEveryProtocol) {

@@ -4,9 +4,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel_runner.hpp"
 #include "server/session.hpp"
 #include "server/sync_server.hpp"
+#include "util/parallel_runner.hpp"
 #include "util/sha256.hpp"
 
 namespace cloudsync {

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/parallel_runner.hpp"
+#include "util/parallel_runner.hpp"
 
 namespace cloudsync {
 namespace {

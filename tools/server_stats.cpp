@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel_runner.hpp"
 #include "server/session.hpp"
 #include "server/sync_server.hpp"
+#include "util/parallel_runner.hpp"
 
 using namespace cloudsync;
 
