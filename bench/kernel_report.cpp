@@ -2,7 +2,9 @@
 // kernel (hashing, chunking, checksums, compression estimate) against an
 // embedded copy of the pre-optimization scalar implementation, checks the
 // outputs are bit-identical, times the LZSS stream sizer against the flat
-// compressor at each PC upload level (exact frame size), records which
+// compressor at each PC upload level (exact frame size), times rsync's
+// signature and delta over a small edit with and without the previous
+// version's block sums (identical results), records which
 // SHA-256 kernel ran, and measures what the fused single-pass
 // pipeline and the flat dedup shard buy on top. Also times the fleet replay
 // at the old (250) and new (2500) per-service file caps and asserts the
@@ -20,6 +22,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "chunking/rsync.hpp"
 #include "core/fleet.hpp"
 #include "pipeline/byte_pipeline.hpp"
 #include "util/adler32.hpp"
@@ -582,6 +585,73 @@ void kernel_report(report& rep) {
       g_sink = g_sink + s;
     });
     rows.push_back(row);
+  }
+
+  // rsync after a 128-byte overwrite of each corpus file, at Dropbox's block
+  // size: the reference signs and diffs the edited version from scratch;
+  // the optimized side takes the sums of blocks the rope proves unchanged
+  // from the previous version (compute_signature_reusing, and the old rope
+  // as compute_delta_events' oracle). Not in the aggregate: the optimized
+  // side skips work by design, like the sizer rows.
+  {
+    const std::size_t block = dropbox().delta_chunk_size;
+    struct edit_case {
+      content_ref prev, next;
+      file_signature prev_sig;
+    };
+    std::vector<edit_case> edits;
+    rng er(0x72737963ull);
+    for (const byte_buffer& b : corpus) {
+      edit_case c;
+      c.prev = content_ref::from_bytes(b);
+      c.next = c.prev.patched(er.uniform(b.size() - 128),
+                              random_bytes(er, 128));
+      c.prev_sig = compute_signature_ref(c.prev, block);
+      edits.push_back(std::move(c));
+    }
+    kernel_row sig_row{"rsync_sig"};
+    kernel_row delta_row{"rsync_delta"};
+    for (const edit_case& c : edits) {
+      const file_signature want = compute_signature_ref(c.next, block);
+      const file_signature got =
+          compute_signature_reusing(c.next, block, c.prev, c.prev_sig);
+      sig_row.identical &=
+          got.file_size == want.file_size && got.blocks == want.blocks;
+      delta_row.identical &=
+          compute_delta_events(c.prev_sig, c.next, &c.prev) ==
+          compute_delta_events(c.prev_sig, c.next);
+    }
+    sig_row.ref_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
+      std::uint64_t s = 0;
+      for (const edit_case& c : edits) {
+        s += compute_signature_ref(c.next, block).blocks.size();
+      }
+      g_sink = g_sink + s;
+    });
+    sig_row.opt_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
+      std::uint64_t s = 0;
+      for (const edit_case& c : edits) {
+        s += compute_signature_reusing(c.next, block, c.prev, c.prev_sig)
+                 .blocks.size();
+      }
+      g_sink = g_sink + s;
+    });
+    delta_row.ref_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
+      std::uint64_t s = 0;
+      for (const edit_case& c : edits) {
+        s += compute_delta_events(c.prev_sig, c.next).size();
+      }
+      g_sink = g_sink + s;
+    });
+    delta_row.opt_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
+      std::uint64_t s = 0;
+      for (const edit_case& c : edits) {
+        s += compute_delta_events(c.prev_sig, c.next, &c.prev).size();
+      }
+      g_sink = g_sink + s;
+    });
+    rows.push_back(sig_row);
+    rows.push_back(delta_row);
   }
 
   // Fused pipeline vs the same kernels run as separate passes (both sides

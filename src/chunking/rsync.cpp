@@ -17,6 +17,22 @@ constexpr std::size_t kPumpWindowBytes = 256 * 1024;
 
 /// Compact the job buffer once this many consumed bytes pile up in front.
 constexpr std::size_t kCompactBytes = 256 * 1024;
+
+/// No old block proven (delta_job::proven_block).
+constexpr std::uint64_t kNoBlock = ~std::uint64_t{0};
+
+/// Weak and strong sums of one block read out of a rope — exactly what
+/// sig_job computes for the same bytes.
+block_signature block_sums(const content_ref& data, std::size_t off,
+                           std::size_t len) {
+  std::uint32_t a = 0, b = 0;
+  md5_hasher strong;
+  data.walk_range(off, len, [&](byte_view piece) {
+    weak_accumulate(piece, a, b);
+    strong.update(piece);
+  });
+  return {(b << 16) | (a & 0xffffu), strong.finish()};
+}
 }  // namespace
 
 sig_job::sig_job(std::size_t block_size, std::uint64_t size_hint) {
@@ -75,6 +91,32 @@ file_signature compute_signature_ref(const content_ref& data,
   return job.finish();
 }
 
+file_signature compute_signature_reusing(const content_ref& data,
+                                         std::size_t block_size,
+                                         const content_ref& prev,
+                                         const file_signature& prev_sig) {
+  if (block_size == 0) throw invalid_block_size();
+  if (prev_sig.block_size != block_size ||
+      prev_sig.file_size != prev.size()) {
+    return compute_signature_ref(data, block_size);
+  }
+  file_signature sig;
+  sig.block_size = block_size;
+  sig.file_size = data.size();
+  sig.blocks.reserve((data.size() + block_size - 1) / block_size);
+  for (std::size_t off = 0; off < data.size(); off += block_size) {
+    const std::size_t len = std::min(block_size, data.size() - off);
+    // Block j of both versions: reusable only at the same length (a
+    // resized tail block has other sums) and over the same chunk runs.
+    const bool same = off < prev.size() &&
+                      std::min(block_size, prev.size() - off) == len &&
+                      data.shares_range(off, prev, off, len);
+    sig.blocks.push_back(same ? prev_sig.blocks[off / block_size]
+                              : block_sums(data, off, len));
+  }
+  return sig;
+}
+
 void delta_op::walk_literal(const std::function<void(byte_view)>& fn) const {
   if (op != kind::literal) return;
   if (ref.empty()) {
@@ -105,10 +147,11 @@ std::uint64_t file_delta::copied_bytes(std::uint64_t old_file_size) const {
   return n;
 }
 
-delta_job::delta_job(const file_signature& sig)
+delta_job::delta_job(const file_signature& sig, block_oracle proves)
     : sig_(sig),
       bs_(sig.block_size),
       degenerate_(sig.block_size == 0 || sig.blocks.empty()),
+      proves_(std::move(proves)),
       rc_(sig.block_size == 0 ? 1 : sig.block_size) {
   if (!degenerate_) {
     // Index full-size signature blocks by weak checksum. The (possibly
@@ -167,6 +210,15 @@ void delta_job::feed(byte_view window) {
   compact();
 }
 
+std::uint64_t delta_job::proven_block() const {
+  if (!proves_) return kNoBlock;
+  const std::int64_t old_off = static_cast<std::int64_t>(pos_) + shift_;
+  if (old_off < 0) return kNoBlock;
+  const std::uint64_t off = static_cast<std::uint64_t>(old_off);
+  if (off % bs_ != 0 || off / bs_ >= full_blocks_) return kNoBlock;
+  return proves_(pos_, off / bs_) ? off / bs_ : kNoBlock;
+}
+
 void delta_job::drain(bool final_window) {
   // During feed, stop one byte short of the fed horizon: an unmatched
   // position needs the byte at pos + bs to roll, and whether that byte
@@ -175,17 +227,29 @@ void delta_job::drain(bool final_window) {
   const std::uint64_t horizon = final_window ? fed_ : fed_ - 1;
 
   while (pos_ + bs_ <= horizon) {
+    // A proven window equals an old block byte for byte, so that block's
+    // weak and strong sums are the window's: seed and compare them instead
+    // of hashing. The candidate walk below is unchanged either way.
+    const std::uint64_t proven = proven_block();
     if (!window_valid_) {
-      rc_.reset(buffered(pos_, bs_));
+      if (proven != kNoBlock) {
+        rc_.seed(sig_.blocks[proven].weak);
+      } else {
+        rc_.reset(buffered(pos_, bs_));
+      }
       window_valid_ = true;
     }
     bool matched = false;
     auto [it, end] = weak_index_.equal_range(rc_.value());
     if (it != end) {
-      const md5_digest strong = md5(buffered(pos_, bs_));
+      const md5_digest strong = proven != kNoBlock
+                                    ? sig_.blocks[proven].strong
+                                    : md5(buffered(pos_, bs_));
       for (; it != end; ++it) {
         if (sig_.blocks[it->second].strong == strong) {
           emit_copy(it->second);
+          shift_ = static_cast<std::int64_t>(it->second * bs_) -
+                   static_cast<std::int64_t>(pos_);
           pos_ += bs_;
           window_valid_ = false;
           matched = true;
@@ -238,9 +302,11 @@ const std::vector<delta_job::event>& delta_job::finish() {
     const std::uint64_t tail_pos = size - tail_size;
     if (tail_pos >= pos_) {
       const byte_view tail_view = buffered(tail_pos, tail_size);
+      const bool proven = proves_ && proves_(tail_pos, full_blocks_);
       if (!tail_view.empty() &&
-          sig_.blocks[full_blocks_].weak == weak_checksum(tail_view) &&
-          sig_.blocks[full_blocks_].strong == md5(tail_view)) {
+          (proven ||
+           (sig_.blocks[full_blocks_].weak == weak_checksum(tail_view) &&
+            sig_.blocks[full_blocks_].strong == md5(tail_view)))) {
         emit_literal(pos_, tail_pos - pos_);
         emit_copy(full_blocks_);
         return events_;
@@ -279,9 +345,22 @@ file_delta compute_delta(const file_signature& sig, byte_view new_data) {
 
 std::vector<delta_job::event> compute_delta_events(const file_signature& sig,
                                                    const content_ref& new_data,
+                                                   const content_ref* old_data,
                                                    std::size_t window_bytes) {
   if (window_bytes == 0) window_bytes = kPumpWindowBytes;
-  delta_job job(sig);
+  delta_job::block_oracle proves;
+  if (old_data != nullptr && old_data->size() == sig.file_size &&
+      sig.block_size > 0) {
+    proves = [&new_data, old_data, bs = sig.block_size](std::uint64_t offset,
+                                                        std::uint64_t block) {
+      const std::size_t start = static_cast<std::size_t>(block) * bs;
+      if (start >= old_data->size()) return false;
+      return new_data.shares_range(static_cast<std::size_t>(offset),
+                                   *old_data, start,
+                                   std::min(bs, old_data->size() - start));
+    };
+  }
+  delta_job job(sig, std::move(proves));
   // Rope segments can be arbitrarily large (a lazy chunk spans the whole
   // file), so re-window them: the job's buffer is bounded by block_size +
   // window_bytes either way.
@@ -320,7 +399,8 @@ file_delta compute_delta_ref(const file_signature& sig,
                              const content_ref& new_data,
                              std::size_t window_bytes) {
   return delta_from_events(sig.block_size, new_data,
-                           compute_delta_events(sig, new_data, window_bytes));
+                           compute_delta_events(sig, new_data, nullptr,
+                                                window_bytes));
 }
 
 byte_buffer apply_delta(byte_view old_data, const file_delta& delta) {

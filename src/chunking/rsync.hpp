@@ -42,6 +42,8 @@ struct invalid_block_size : std::invalid_argument {
 struct block_signature {
   std::uint32_t weak = 0;   ///< rolling checksum of the block
   md5_digest strong;        ///< MD5 of the block
+
+  bool operator==(const block_signature&) const = default;
 };
 
 /// Signature of a whole (old) file: what the receiver sends to the sender.
@@ -81,6 +83,18 @@ file_signature compute_signature(byte_view data, std::size_t block_size);
 /// Same signature, computed by walking a rope's segments — no flatten.
 file_signature compute_signature_ref(const content_ref& data,
                                      std::size_t block_size);
+
+/// Same signature again, reusing the sums of a previous version: block j of
+/// `data` takes `prev_sig.blocks[j]` when it is rope-identical
+/// (content_ref::shares_range) to block j of `prev`, and is hashed only
+/// otherwise. `prev_sig` must be the signature of `prev`; one with another
+/// block size or file size is ignored. Equal to compute_signature_ref(data,
+/// block_size) — a reused sum belongs to equal bytes by construction — at a
+/// cost of O(changed blocks) hashing instead of O(file).
+file_signature compute_signature_reusing(const content_ref& data,
+                                         std::size_t block_size,
+                                         const content_ref& prev,
+                                         const file_signature& prev_sig);
 
 /// One instruction of a delta: either copy a run of consecutive blocks from
 /// the old file, or insert literal bytes. Literal payloads come in two
@@ -131,9 +145,19 @@ class delta_job {
     std::uint64_t block_count = 0;  ///< copy: blocks in the run
     std::uint64_t offset = 0;       ///< literal: start offset in the new file
     std::uint64_t length = 0;       ///< literal: run length
+
+    bool operator==(const event&) const = default;
   };
 
-  explicit delta_job(const file_signature& sig);
+  /// Optional proof source: true only when the new file's bytes at
+  /// [offset, offset + length of old block `block`) are known equal to that
+  /// old block without reading them (e.g. rope identity). False means "not
+  /// proven". A proven window takes its weak and strong sums from the
+  /// signature instead of hashing, so results never depend on the oracle.
+  using block_oracle =
+      std::function<bool(std::uint64_t offset, std::uint64_t block)>;
+
+  explicit delta_job(const file_signature& sig, block_oracle proves = {});
 
   void feed(byte_view window);
   const std::vector<event>& finish();
@@ -141,6 +165,10 @@ class delta_job {
 
  private:
   void drain(bool final_window);
+  /// The old block the oracle proves the window at pos_ equal to, or
+  /// kNoBlock. Only the block the last copy predicts is probed: the one at
+  /// the same old-minus-new offset, when that offset is block-aligned.
+  std::uint64_t proven_block() const;
   byte_view buffered(std::uint64_t pos, std::size_t len) const;
   void compact();
   void emit_copy(std::uint64_t block);
@@ -153,6 +181,9 @@ class delta_job {
   const bool degenerate_;
   std::uint64_t full_blocks_ = 0;
   std::unordered_multimap<std::uint32_t, std::uint64_t> weak_index_;
+  block_oracle proves_;
+  /// Old offset minus new offset of the last copied block (0 before any).
+  std::int64_t shift_ = 0;
 
   rolling_checksum rc_;
   bool window_valid_ = false;
@@ -180,8 +211,14 @@ file_delta compute_delta_ref(const file_signature& sig,
 /// The raw event stream of that diff: pure indices and offsets, no payload
 /// bytes and no rope pins — safe to cache process-wide (a memoized delta
 /// holding rope refs would pin content store chunks forever).
+///
+/// `old_data`, when given, must be the content `sig` signs (it is ignored
+/// when its size differs). Windows that are rope-identical to the old block
+/// the previous copy predicts skip MD5 and the weak-sum reset; the events
+/// are the same with or without it.
 std::vector<delta_job::event> compute_delta_events(
     const file_signature& sig, const content_ref& new_data,
+    const content_ref* old_data = nullptr,
     std::size_t window_bytes = 256 * 1024);
 
 /// Materialize a file_delta from an event stream against the new content it

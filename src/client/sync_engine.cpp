@@ -667,10 +667,7 @@ void sync_client::apply_upload(const std::string& path,
     cloud_.dedup().commit(user_, content);
   }
   base_version_[path] = cloud_.manifest(user_, path)->version;
-  shadow_entry& sh = shadow_[path];
-  sh.content = content;
-  sh.sig.reset();  // the memoized signature no longer matches
-  install_cache_tier(path, sh.content);
+  adopt_shadow(path, content);
   // Calibration feedback: the plan's app bytes are exactly what the
   // surrounding exchange meters as payload + metadata on success. Gated so
   // non-adaptive runs skip the hash (and stay cycle-identical).
@@ -693,10 +690,7 @@ void sync_client::apply_upload_session(const std::string& path,
   }
   if (plan.dedup_commit) cloud_.dedup().commit(user_, content);
   base_version_[path] = cloud_.manifest(user_, path)->version;
-  shadow_entry& sh = shadow_[path];
-  sh.content = content;
-  sh.sig.reset();
-  install_cache_tier(path, sh.content);
+  adopt_shadow(path, content);
   if (opts_.protocol.mode == protocol_mode::adaptive) {
     selector_.observe(plan, content.hash64(),
                       plan.payload_up + plan.metadata_up);
@@ -990,8 +984,9 @@ sim_time sync_client::run_exchange(sim_time at, const exchange_spec& spec,
   }
 }
 
-void sync_client::install_cache_tier(const std::string& path,
-                                     const content_ref& content) {
+void sync_client::adopt_shadow(const std::string& path,
+                               const content_ref& content) {
+  shadow_[path].adopt(content);
   if (opts_.cache_tier != nullptr) opts_.cache_tier->install(path, content);
 }
 
@@ -1061,10 +1056,7 @@ void sync_client::download(const std::string& path) {
   // Adopt the remote version as the synced state, then materialise it
   // locally (suppressed: our own write must not re-enter the upload
   // pipeline). Shadow and file share the version's chunks.
-  shadow_entry& sh = shadow_[path];
-  sh.content = content;
-  sh.sig.reset();
-  install_cache_tier(path, sh.content);
+  adopt_shadow(path, content);
   applying_remote_ = true;
   if (fs_.exists(path)) {
     fs_.write(path, content, clock_.now());
@@ -1224,10 +1216,7 @@ sim_time sync_client::recover_in_flight(const journal_record& rec,
       discard();
       return t;
     }
-    shadow_entry& sh = shadow_[rec.path];
-    sh.content = *base_content;
-    sh.sig.reset();
-    install_cache_tier(rec.path, sh.content);
+    adopt_shadow(rec.path, *base_content);
     base_version_[rec.path] = cur;
     plan = plan_upload(rec.path, t);
     if (plan.act != upload_action::delta) {
@@ -1290,10 +1279,7 @@ void sync_client::rescan_after_recovery() {
     }
     if (in_sync) {
       // Adopt as the synced state (a local disk read, not a download).
-      shadow_entry& sh = shadow_[path];
-      sh.content = local;
-      sh.sig.reset();
-      install_cache_tier(path, sh.content);
+      adopt_shadow(path, local);
       base_version_[path] = man->version;
       continue;
     }

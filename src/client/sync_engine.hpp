@@ -388,10 +388,11 @@ class sync_client {
   /// adopt in-sync paths as shadows, queue divergent ones as dirty.
   void rescan_after_recovery();
 
-  /// Cache-tier hooks (no-ops without opts_.cache_tier): every place the
-  /// shadow is adopted installs the synced version; every place it is
-  /// dropped invalidates.
-  void install_cache_tier(const std::string& path, const content_ref& content);
+  /// Install `content` as the path's synced version (shadow_entry::adopt)
+  /// and in the cache tier, if any.
+  void adopt_shadow(const std::string& path, const content_ref& content);
+  /// Cache-tier hook (no-op without opts_.cache_tier): every place the
+  /// shadow is dropped invalidates.
   void drop_cache_tier(const std::string& path);
 
   /// Write-back interception for one upsert fs event: dirty the cached

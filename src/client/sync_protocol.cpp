@@ -100,11 +100,20 @@ const file_signature& shadow_signature(const planning_env& env,
       return std::make_shared<const file_signature>(
           compute_signature_ref(sh.content, block_size));
     };
-    sh.sig = env.cache != nullptr
-                 ? signature_memo().get_or_compute_keyed(
-                       sh.content.hash64(), sh.content.size(), block_size,
-                       sign)
-                 : sign();
+    if (sh.prev_sig && sh.prev_sig->block_size == block_size) {
+      // Equal to sign() by construction; hashes only the changed blocks.
+      sh.sig = std::make_shared<const file_signature>(
+          compute_signature_reusing(sh.content, block_size, sh.prev_content,
+                                    *sh.prev_sig));
+    } else {
+      sh.sig = env.cache != nullptr
+                   ? signature_memo().get_or_compute_keyed(
+                         sh.content.hash64(), sh.content.size(), block_size,
+                         sign)
+                   : sign();
+    }
+    sh.prev_content = {};
+    sh.prev_sig.reset();
     sh.sig_block_size = block_size;
     sh.sig_salt = signature_salt(*sh.sig);
   }
@@ -174,7 +183,7 @@ class rsync_protocol final : public sync_protocol {
     auto bp = std::make_shared<delta_blueprint>();
     auto plan_skeleton = [&]() -> skeleton_ptr {
       auto sk = std::make_shared<delta_skeleton>();
-      sk->events = compute_delta_events(sig, content);
+      sk->events = compute_delta_events(sig, content, &sh.content);
       const file_delta d =
           delta_from_events(sig.block_size, content, sk->events);
       sk->wire_size = delta_wire_size(d);

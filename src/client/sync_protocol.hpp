@@ -39,7 +39,8 @@ struct delta_blueprint {
 
 /// Last-synced content plus its memoized rsync signature: incremental sync
 /// re-signs a shadow only after it actually changes, not on every commit.
-/// The signature is shared with the process-wide memo when caching is on.
+/// A shadow's first signature is shared with the process-wide memo when
+/// caching is on; later ones reuse the sums of the version before.
 struct shadow_entry {
   content_ref content;
   std::shared_ptr<const file_signature> sig;  ///< of `content`, lazy
@@ -47,6 +48,22 @@ struct shadow_entry {
   std::uint64_t sig_salt = 0;  ///< memo salt of `sig` (valid while sig is);
                                ///< recomputing it per delta walked every
                                ///< block of the signature again
+  /// The last signed version and its signature, kept from adopt() until the
+  /// next signature is built: blocks the CoW rope proves unchanged take
+  /// their sums from here instead of being hashed again.
+  content_ref prev_content;
+  std::shared_ptr<const file_signature> prev_sig;
+
+  /// Install `next` as the synced version. A signed current version becomes
+  /// the previous pair; the signature is rebuilt lazily.
+  void adopt(content_ref next) {
+    if (sig) {
+      prev_content = std::move(content);
+      prev_sig = std::move(sig);
+    }
+    content = std::move(next);
+    sig.reset();
+  }
 };
 
 /// How a planned upload reaches the cloud once its exchange succeeds.

@@ -191,6 +191,37 @@ bool content_ref::equal(byte_view other) const {
   return true;
 }
 
+bool content_ref::shares_range(std::size_t off, const content_ref& other,
+                               std::size_t other_off, std::size_t len) const {
+  if (off + len > size_ || off + len < off || other_off + len > other.size_ ||
+      other_off + len < other_off) {
+    return false;
+  }
+  if (len == 0) return true;
+  if (segs_ == other.segs_ && off == other_off) return true;
+  std::size_t ia = locate(off), ib = other.locate(other_off);
+  std::size_t oa = off - (*starts_)[ia];
+  std::size_t ob = other_off - (*other.starts_)[ib];
+  while (len > 0) {
+    const rope_segment& a = (*segs_)[ia];
+    const rope_segment& b = (*other.segs_)[ib];
+    if (a.chunk != b.chunk || a.offset + oa != b.offset + ob) return false;
+    const std::size_t take = std::min({a.length - oa, b.length - ob, len});
+    len -= take;
+    oa += take;
+    ob += take;
+    if (oa == a.length) {
+      ++ia;
+      oa = 0;
+    }
+    if (ob == b.length) {
+      ++ib;
+      ob = 0;
+    }
+  }
+  return true;
+}
+
 void content_ref::builder::push(const rope_segment& seg) {
   if (seg.length == 0) return;
   if (!segs_.empty()) {

@@ -76,6 +76,14 @@ class content_ref {
   bool equal(const content_ref& other) const;
   bool equal(byte_view other) const;
 
+  /// True when [off, off+len) of this rope and [other_off, other_off+len)
+  /// of `other` are the very same (chunk, offset) runs, so their bytes are
+  /// equal by construction. Never reads bytes. False means "not proven",
+  /// not "different": equal bytes held in different chunks, and ranges out
+  /// of bounds, both answer false.
+  bool shares_range(std::size_t off, const content_ref& other,
+                    std::size_t other_off, std::size_t len) const;
+
   std::size_t segment_count() const { return segs_ ? segs_->size() : 0; }
 
   /// Incremental rope assembly: append whole refs, sub-ranges of refs, or

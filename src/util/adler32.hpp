@@ -33,6 +33,15 @@ class rolling_checksum {
   /// Initialise from a full window (data.size() must equal window()).
   void reset(byte_view data);
 
+  /// Initialise from a window's packed weak checksum instead of its bytes
+  /// (e.g. a signature block proven equal to the window). Exact: value()
+  /// reads only a and b mod 2^16, and roll() is ring arithmetic, so the low
+  /// 16 bits of both sums evolve as if reset() had summed the bytes.
+  void seed(std::uint32_t weak) {
+    a_ = weak & 0xffffu;
+    b_ = weak >> 16;
+  }
+
   /// Slide one byte: `out` leaves the window, `in` enters.
   void roll(std::uint8_t out, std::uint8_t in) {
     a_ -= out;

@@ -57,6 +57,50 @@ TEST(ContentRef, SubstrSharesAndMatches) {
   EXPECT_THROW(ref.substr(1, 200'000), std::out_of_range);
 }
 
+TEST(ContentRef, SharesRangeProvesOnlyIdenticalRuns) {
+  rng r(41);
+  const byte_buffer data = random_bytes(r, 200'000);  // spans >3 chunks
+  const content_ref base = content_ref::from_bytes(data);
+  const byte_buffer patch = random_bytes(r, 128);
+  const content_ref edited = base.patched(100'000, patch);
+
+  // Shared runs, on both sides of the patch and across an intern boundary.
+  EXPECT_TRUE(edited.shares_range(0, base, 0, 100'000));
+  EXPECT_TRUE(edited.shares_range(100'128, base, 100'128, 99'872));
+  EXPECT_TRUE(edited.shares_range(60'000, base, 60'000, 10'000));
+  EXPECT_TRUE(base.shares_range(1'000, base, 1'000, 5'000));
+  // A sub-rope shares its source's runs at shifted offsets, and only there.
+  const content_ref tail = base.substr(70'000, 50'000);
+  EXPECT_TRUE(tail.shares_range(0, base, 70'000, 50'000));
+  EXPECT_TRUE(base.shares_range(80'000, tail, 10'000, 4'096));
+  EXPECT_FALSE(tail.shares_range(0, base, 70'001, 1'000));
+
+  // Any overlap with the patched run is not proven.
+  EXPECT_FALSE(edited.shares_range(99'000, base, 99'000, 2'000));
+  EXPECT_FALSE(edited.shares_range(100'127, base, 100'127, 1));
+
+  // Equal bytes held in a different chunk are not proven either.
+  const content_ref same_bytes =
+      base.patched(100'000, byte_view(data).subspan(100'000, 128));
+  EXPECT_TRUE(same_bytes.equal(base));
+  EXPECT_FALSE(same_bytes.shares_range(100'000, base, 100'000, 128));
+  byte_buffer shifted{0x42};
+  append(shifted, data);
+  const content_ref realigned =
+      content_ref::from_bytes(shifted).substr(1, data.size());
+  EXPECT_TRUE(realigned.equal(base));
+  EXPECT_FALSE(realigned.shares_range(0, base, 0, 1'000));
+
+  // Out of bounds on either side, including offset overflow, is false.
+  EXPECT_FALSE(base.shares_range(199'999, base, 199'999, 2));
+  EXPECT_FALSE(base.shares_range(0, tail, 49'000, 1'001));
+  EXPECT_FALSE(base.shares_range(~std::size_t{0}, base, 0, 2));
+  EXPECT_FALSE(base.shares_range(0, base, ~std::size_t{0}, 2));
+  EXPECT_FALSE(content_ref{}.shares_range(0, base, 0, 1));
+  // The empty range is vacuously shared.
+  EXPECT_TRUE(base.shares_range(5, edited, 7, 0));
+}
+
 TEST(ContentRef, PatchBeyondEndThrows) {
   const content_ref ref = content_ref::from_bytes(to_buffer("abcdef"));
   const byte_buffer p = to_buffer("xy");

@@ -29,6 +29,26 @@ TEST_P(RollingWindow, RollEqualsRecompute) {
 INSTANTIATE_TEST_SUITE_P(Windows, RollingWindow,
                          ::testing::Values(1, 2, 7, 16, 64, 700, 1024, 4096));
 
+TEST(RollingChecksum, SeedFromWeakEqualsResetUnderRolls) {
+  // seed() keeps only the packed low 16 bits of each sum; reset() keeps the
+  // full 32-bit sums. Every roll must still read the same value.
+  rng r(77);
+  for (const std::size_t window : {1u, 64u, 700u, 10240u}) {
+    const byte_buffer data = random_bytes(r, window * 3 + 11);
+    const byte_view first = byte_view{data}.first(window);
+    rolling_checksum reset_rc(window), seeded_rc(window);
+    reset_rc.reset(first);
+    seeded_rc.seed(weak_checksum(first));
+    ASSERT_EQ(seeded_rc.value(), reset_rc.value()) << window;
+    for (std::size_t pos = 1; pos + window <= data.size(); ++pos) {
+      reset_rc.roll(data[pos - 1], data[pos + window - 1]);
+      seeded_rc.roll(data[pos - 1], data[pos + window - 1]);
+      ASSERT_EQ(seeded_rc.value(), reset_rc.value())
+          << "window " << window << " offset " << pos;
+    }
+  }
+}
+
 TEST(RollingChecksum, TextRollMatches) {
   const std::string text =
       "the quick brown fox jumps over the lazy dog again and again";

@@ -387,5 +387,253 @@ TEST(RsyncStreaming, PatchJobSharesOldChunks) {
   EXPECT_TRUE(rebuilt.equal(new_data));
 }
 
+void expect_same_signature(const file_signature& got,
+                           const file_signature& want) {
+  EXPECT_EQ(got.block_size, want.block_size);
+  EXPECT_EQ(got.file_size, want.file_size);
+  ASSERT_EQ(got.blocks.size(), want.blocks.size());
+  for (std::size_t i = 0; i < want.blocks.size(); ++i) {
+    EXPECT_TRUE(got.blocks[i] == want.blocks[i]) << "block " << i;
+  }
+}
+
+/// The reuse path against `prev` must equal signing `next` from scratch.
+void expect_reuse_identity(const char* label, const content_ref& next,
+                           const content_ref& prev, std::size_t block_size) {
+  SCOPED_TRACE(label);
+  const file_signature prev_sig = compute_signature_ref(prev, block_size);
+  expect_same_signature(
+      compute_signature_reusing(next, block_size, prev, prev_sig),
+      compute_signature_ref(next, block_size));
+}
+
+TEST(RsyncReuse, SignatureEqualsFromScratchAcrossEditShapes) {
+  rng r(61);
+  constexpr std::size_t kBlock = 4096;
+  const content_ref prev = chopped_rope(random_bytes(r, 150'000 + 123), 7);
+  const content_ref aligned = content_ref::from_bytes(random_bytes(r, 98'304));
+  const byte_buffer patch = random_bytes(r, 128);
+
+  expect_reuse_identity("overwrite inside one block",
+                        prev.patched(5'000, patch), prev, kBlock);
+  expect_reuse_identity("overwrite across a block boundary",
+                        prev.patched(2 * kBlock - 64, patch), prev, kBlock);
+  expect_reuse_identity("append (the short tail block grows)",
+                        prev.appended(random_bytes(r, 9'000)), prev, kBlock);
+  expect_reuse_identity("append to a block multiple",
+                        aligned.appended(patch), aligned, kBlock);
+  expect_reuse_identity("truncation to a block multiple",
+                        prev.substr(0, 20 * kBlock), prev, kBlock);
+  expect_reuse_identity("truncation mid-block",
+                        prev.substr(0, 20 * kBlock + 77), prev, kBlock);
+  expect_reuse_identity("resized tail block: same runs, shorter length",
+                        prev.substr(0, prev.size() - 10), prev, kBlock);
+  expect_reuse_identity("unrelated previous version", prev,
+                        content_ref::from_bytes(random_bytes(r, 60'000)),
+                        kBlock);
+  expect_reuse_identity("identical previous version", prev, prev, kBlock);
+  expect_reuse_identity("empty version", content_ref{}, prev, kBlock);
+  expect_reuse_identity("empty previous version", prev, content_ref{},
+                        kBlock);
+}
+
+TEST(RsyncReuse, MismatchedPreviousSignatureIsIgnored) {
+  rng r(62);
+  const content_ref prev = content_ref::from_bytes(random_bytes(r, 40'000));
+  const content_ref next = prev.patched(100, random_bytes(r, 16));
+  const file_signature want = compute_signature_ref(next, 4096);
+  // Another block size, or a signature of some other content.
+  expect_same_signature(
+      compute_signature_reusing(next, 4096, prev,
+                                compute_signature_ref(prev, 1024)),
+      want);
+  expect_same_signature(
+      compute_signature_reusing(next, 4096, prev,
+                                compute_signature_ref(prev.substr(0, 39'000),
+                                                      4096)),
+      want);
+  EXPECT_THROW(compute_signature_reusing(next, 0, prev, want),
+               invalid_block_size);
+}
+
+TEST(RsyncReuse, ReusesExactlyTheRopeIdenticalBlocks) {
+  // A previous signature with every strong sum blanked shows which blocks
+  // were copied (blank) and which were hashed (real).
+  rng r(63);
+  constexpr std::size_t kBlock = 4096;
+  const content_ref prev = content_ref::from_bytes(random_bytes(r, 40'000));
+  file_signature marked = compute_signature_ref(prev, kBlock);
+  for (block_signature& b : marked.blocks) b.strong = md5_digest{};
+  // Overwrite bytes 5000..5127: only block 1 changes.
+  const content_ref next = prev.patched(5'000, random_bytes(r, 128));
+  const file_signature got =
+      compute_signature_reusing(next, kBlock, prev, marked);
+  const file_signature want = compute_signature_ref(next, kBlock);
+  ASSERT_EQ(got.blocks.size(), want.blocks.size());
+  for (std::size_t i = 0; i < got.blocks.size(); ++i) {
+    if (i == 1) {
+      EXPECT_EQ(got.blocks[i].strong, want.blocks[i].strong);
+    } else {
+      EXPECT_EQ(got.blocks[i].strong, md5_digest{}) << "block " << i;
+    }
+  }
+}
+
+TEST(RsyncReuse, ChainedReuseMatchesFromScratchUnderRandomEdits) {
+  // The shadow's pattern: each version is signed against the one before,
+  // so a wrong reuse would compound down the chain.
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    rng r(700 + seed);
+    const std::size_t block = seed % 2 == 0 ? 1024 : 10 * 1024;
+    content_ref cur = chopped_rope(random_bytes(r, 30'000 + r.uniform(50'000)),
+                                   5 + seed);
+    file_signature sig = compute_signature_ref(cur, block);
+    for (int step = 0; step < 12; ++step) {
+      content_ref next;
+      const std::size_t size = cur.size();
+      switch (r.uniform(4)) {
+        case 0: {  // overwrite
+          const std::size_t len =
+              std::min<std::size_t>(size, 1 + r.uniform(300));
+          next = cur.patched(r.uniform(size - len + 1), random_bytes(r, len));
+          break;
+        }
+        case 1:  // append
+          next = cur.appended(random_bytes(r, 1 + r.uniform(5'000)));
+          break;
+        case 2:  // truncate
+          next = cur.substr(0, r.uniform(size + 1));
+          break;
+        default: {  // insert: shifts every later block
+          content_ref::builder b;
+          const std::size_t at = r.uniform(size + 1);
+          b.append(cur, 0, at);
+          b.append_bytes(random_bytes(r, 1 + r.uniform(200)));
+          b.append(cur, at, size - at);
+          next = b.build();
+        }
+      }
+      const file_signature reused =
+          compute_signature_reusing(next, block, cur, sig);
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step);
+      expect_same_signature(reused, compute_signature_ref(next, block));
+      cur = next;
+      sig = reused;
+    }
+  }
+}
+
+/// Events of the diff with and without the old rope must be equal.
+void expect_oracle_identity(const char* label, const content_ref& old_ref,
+                            const content_ref& new_ref,
+                            std::size_t block_size) {
+  SCOPED_TRACE(label);
+  const file_signature sig = compute_signature_ref(old_ref, block_size);
+  const auto plain = compute_delta_events(sig, new_ref);
+  for (const std::size_t window : {1000u, 256u * 1024}) {
+    EXPECT_TRUE(compute_delta_events(sig, new_ref, &old_ref, window) == plain)
+        << "window " << window;
+  }
+  const file_delta delta =
+      delta_from_events(block_size, new_ref, compute_delta_events(
+                                                 sig, new_ref, &old_ref));
+  EXPECT_TRUE(apply_delta_ref(old_ref, delta).equal(new_ref));
+}
+
+TEST(RsyncReuse, DeltaEventsWithOldRopeEqualWithout) {
+  rng r(64);
+  constexpr std::size_t kBlock = 4096;
+  const content_ref old_ref = chopped_rope(random_bytes(r, 120'000 + 55), 7);
+  const byte_buffer patch = random_bytes(r, 128);
+  expect_oracle_identity("overwrites", old_ref,
+                         old_ref.patched(5'000, patch).patched(70'000, patch),
+                         kBlock);
+  expect_oracle_identity("identical", old_ref, old_ref, kBlock);
+  expect_oracle_identity("append", old_ref, old_ref.appended(patch), kBlock);
+  expect_oracle_identity("truncate", old_ref, old_ref.substr(0, 100'000),
+                         kBlock);
+  expect_oracle_identity("unrelated", old_ref,
+                         content_ref::from_bytes(random_bytes(r, 50'000)),
+                         kBlock);
+}
+
+TEST(RsyncReuse, DeltaEventsWithDuplicateBlocksEqualWithout) {
+  // Several old blocks with equal weak and strong sums: the first candidate
+  // in weak-index order must win whether or not the rope proves a later one.
+  rng r(65);
+  constexpr std::size_t kBlock = 1024;
+  const byte_buffer a = random_bytes(r, kBlock);
+  const byte_buffer b = random_bytes(r, kBlock);
+  byte_buffer flat;
+  for (const int pick : {0, 1, 0, 0, 1, 0, 1, 1, 0}) append(flat, pick ? b : a);
+  append(flat, random_bytes(r, 300));
+  const content_ref old_ref = content_ref::from_bytes(flat);
+  const file_signature sig = compute_signature_ref(old_ref, kBlock);
+  ASSERT_EQ(sig.blocks[0].strong, sig.blocks[2].strong);
+  expect_oracle_identity("identical", old_ref, old_ref, kBlock);
+  expect_oracle_identity("overwrite", old_ref,
+                         old_ref.patched(2 * kBlock + 10, b), kBlock);
+  content_ref::builder shifted;
+  shifted.append_bytes(a);
+  shifted.append(old_ref, 17, old_ref.size() - 17);
+  expect_oracle_identity("shifted", old_ref, shifted.build(), kBlock);
+}
+
+TEST(RsyncReuse, DeltaEventsOverAppliedDeltaRopeEqualWithout) {
+  // apply_delta_ref builds a version that shares the old chunks at shifted
+  // offsets (an insert moves every later block); diff the next version
+  // against it with and without the rope.
+  rng r(66);
+  constexpr std::size_t kBlock = 4096;
+  const byte_buffer old_flat = random_bytes(r, 90'000);
+  byte_buffer new_flat = old_flat;
+  const byte_buffer ins = random_bytes(r, 333);
+  new_flat.insert(new_flat.begin() + 20'000, ins.begin(), ins.end());
+  new_flat[60'000] ^= 0x5a;
+  const content_ref old_ref = chopped_rope(old_flat, 11);
+  const file_delta delta =
+      compute_delta_ref(compute_signature_ref(old_ref, kBlock),
+                        content_ref::from_bytes(new_flat));
+  const content_ref mid = apply_delta_ref(old_ref, delta);
+  ASSERT_TRUE(mid.equal(new_flat));
+  expect_oracle_identity("applied delta", old_ref, mid, kBlock);
+  expect_oracle_identity("overwrite of it", mid, mid.patched(45'000, ins),
+                         kBlock);
+  content_ref::builder b;
+  b.append(mid, 0, 30'000);
+  b.append_bytes(ins);
+  b.append(mid, 30'000, mid.size() - 30'000);
+  expect_oracle_identity("insert into it", mid, b.build(), kBlock);
+}
+
+TEST(RsyncReuse, ProvenWindowsSkipHashingButNotResults) {
+  // A counting oracle over an overwrite: it is consulted, it proves the
+  // unchanged blocks, and the events match the oracle-free job.
+  rng r(67);
+  constexpr std::size_t kBlock = 2048;
+  const content_ref old_ref = content_ref::from_bytes(random_bytes(r, 64'000));
+  const content_ref new_ref = old_ref.patched(9'000, random_bytes(r, 64));
+  const file_signature sig = compute_signature_ref(old_ref, kBlock);
+  std::size_t asked = 0, proven = 0;
+  delta_job with(sig, [&](std::uint64_t off, std::uint64_t block) {
+    ++asked;
+    const std::size_t start = static_cast<std::size_t>(block) * kBlock;
+    const bool yes = new_ref.shares_range(
+        static_cast<std::size_t>(off), old_ref, start,
+        std::min(kBlock, old_ref.size() - start));
+    proven += yes;
+    return yes;
+  });
+  delta_job without(sig);
+  new_ref.walk([&](byte_view v) {
+    with.feed(v);
+    without.feed(v);
+  });
+  EXPECT_TRUE(with.finish() == without.finish());
+  // 31 full blocks plus the tail; only block 4 (bytes 8192..10239) changed.
+  EXPECT_EQ(proven, sig.blocks.size() - 1);
+  EXPECT_GE(asked, proven);
+}
+
 }  // namespace
 }  // namespace cloudsync

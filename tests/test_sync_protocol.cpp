@@ -184,6 +184,111 @@ TEST(SyncProtocol, RsyncPlanCarriesBlueprint) {
   EXPECT_LT(plan.payload_up, new_data.size() / 2);
 }
 
+TEST(SyncProtocol, RsyncPlanIdenticalWithPreviousSignature) {
+  // After a commit the shadow keeps the version it last signed and that
+  // signature, so the next signature and delta take the sums of unchanged
+  // blocks instead of hashing them. A chain of Dropbox edits planned with
+  // that pair and with a fresh shadow must plan, ship and commit the same.
+  const service_profile profile = dropbox();
+  const std::string path = "doc";
+  const sim_time t = sim_time::from_sec(1);
+  rng r(37);
+  content_ref cur = content_ref::from_buffer(random_bytes(r, 300 * KiB + 77));
+  cloud warm_cl(cloud_config{profile.dedup});
+  cloud fresh_cl(cloud_config{profile.dedup});
+  warm_cl.put_file(0, 1, path, cur, cur.size(), t);
+  fresh_cl.put_file(0, 1, path, cur, cur.size(), t);
+  planning_env warm_env, fresh_env;
+  warm_env.profile = fresh_env.profile = &profile;
+  warm_env.cl = &warm_cl;
+  fresh_env.cl = &fresh_cl;
+  const sync_protocol* rsync =
+      protocol_registry::instance().find(protocol_id::rsync);
+  ASSERT_NE(rsync, nullptr);
+
+  shadow_entry warm;
+  warm.adopt(cur);  // nothing signed yet: no previous pair
+  EXPECT_FALSE(warm.prev_sig);
+  const std::size_t block = profile.delta_chunk_size;
+  for (int step = 0; step < 8; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    content_ref next;
+    switch (step % 4) {
+      case 0:  // a small overwrite, as the paper's modification workload
+        next = cur.patched(r.uniform(cur.size() - 128), random_bytes(r, 128));
+        break;
+      case 1:  // across a block boundary
+        next = cur.patched(3 * block - 20, random_bytes(r, 40));
+        break;
+      case 2:  // append
+        next = cur.appended(random_bytes(r, 5'000 + r.uniform(20'000)));
+        break;
+      default: {  // insert, shifting every later block
+        content_ref::builder b;
+        const std::size_t at = r.uniform(cur.size());
+        b.append(cur, 0, at);
+        b.append_bytes(random_bytes(r, 1 + r.uniform(500)));
+        b.append(cur, at, cur.size() - at);
+        next = b.build();
+      }
+    }
+    shadow_entry fresh;
+    fresh.content = cur;
+    EXPECT_EQ(static_cast<bool>(warm.prev_sig), step > 0);
+
+    protocol_update warm_up, fresh_up;
+    warm_up.path = fresh_up.path = &path;
+    warm_up.content = fresh_up.content = &next;
+    warm_up.in_cloud = fresh_up.in_cloud = true;
+    warm_up.shadow = &warm;
+    fresh_up.shadow = &fresh;
+    ASSERT_TRUE(rsync->eligible(warm_env, warm_up));
+    const upload_plan pw = rsync->plan(warm_env, warm_up);
+    const upload_plan pf = rsync->plan(fresh_env, fresh_up);
+    EXPECT_FALSE(warm.prev_sig);  // dropped once the signature is built
+    EXPECT_TRUE(warm.prev_content.empty());
+
+    ASSERT_TRUE(warm.sig && fresh.sig);
+    EXPECT_TRUE(warm.sig->blocks == fresh.sig->blocks);
+    EXPECT_EQ(warm.sig_salt, fresh.sig_salt);
+
+    ASSERT_EQ(pw.act, upload_action::delta);
+    ASSERT_EQ(pf.act, upload_action::delta);
+    EXPECT_EQ(pw.payload_up, pf.payload_up);
+    EXPECT_EQ(pw.metadata_up, pf.metadata_up);
+    EXPECT_EQ(pw.metadata_down, pf.metadata_down);
+    EXPECT_EQ(pw.blueprint->wire_size, pf.blueprint->wire_size);
+    EXPECT_EQ(pw.blueprint->wire_hash, pf.blueprint->wire_hash);
+    const file_delta& dw = pw.blueprint->delta;
+    const file_delta& df = pf.blueprint->delta;
+    ASSERT_EQ(dw.ops.size(), df.ops.size());
+    for (std::size_t i = 0; i < df.ops.size(); ++i) {
+      EXPECT_EQ(dw.ops[i].op, df.ops[i].op) << i;
+      EXPECT_EQ(dw.ops[i].block_index, df.ops[i].block_index) << i;
+      EXPECT_EQ(dw.ops[i].block_count, df.ops[i].block_count) << i;
+      EXPECT_EQ(dw.ops[i].literal_size(), df.ops[i].literal_size()) << i;
+    }
+    EXPECT_EQ(serialize_delta(dw), serialize_delta(df));
+
+    warm_cl.apply_file_delta(0, 1, path, dw, t);
+    fresh_cl.apply_file_delta(0, 1, path, df, t);
+    const auto warm_stored = warm_cl.file_content(0, path);
+    const auto fresh_stored = fresh_cl.file_content(0, path);
+    ASSERT_TRUE(warm_stored && fresh_stored);
+    EXPECT_TRUE(warm_stored->equal(next));
+    EXPECT_TRUE(fresh_stored->equal(next));
+    EXPECT_EQ(warm_cl.manifest(0, path)->version,
+              fresh_cl.manifest(0, path)->version);
+    EXPECT_EQ(warm_cl.manifest(0, path)->logical_size,
+              fresh_cl.manifest(0, path)->logical_size);
+    EXPECT_EQ(warm_cl.manifest(0, path)->stored_size,
+              fresh_cl.manifest(0, path)->stored_size);
+
+    warm.adopt(next);  // the signed version becomes the previous pair
+    cur = next;
+  }
+}
+
 TEST(SyncProtocol, AdaptiveExperimentCalibratesAndCommits) {
   experiment_config cfg{lab_profile()};
   cfg.method = access_method::pc_client;
